@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .errors import (InvalidCluster, InternalMismatch, RootValuation,
                      ZeroPolynomial)
-from .exact import solve_linear
+from .exact import invert_matrix
 from .series import (InsufficientTruncation, LaurentSeries, PuiseuxSeries,
-                     TruncSeries2, compose_series)
+                     TruncSeries2)
 
 LINF = "linf"
 
@@ -34,7 +34,7 @@ def _q(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointAtInfinity:
     """A point of L-infinity.
 
@@ -53,7 +53,7 @@ class PointAtInfinity:
             raise InvalidCluster("the y-chart point admits no parameter")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Free:
     c: Fraction
 
@@ -61,24 +61,24 @@ class Free:
         object.__setattr__(self, "c", _q(self.c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SatU:
     """Satellite on the strict transform of the previous u-axis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SatV:
     """Satellite on the strict transform of the previous v-axis."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     parent: int                      # -1 for roots
     base: PointAtInfinity | None     # set iff root
     step: Free | SatU | SatV | None  # None iff root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PuiseuxBranch:
     """A branch at infinity: y_q = sum a_j x_q^(j/m) at a base point.
 
@@ -215,7 +215,6 @@ def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> TruncSeries2
         # x = 1/u, y = (v - c)/u  =>  u^d x^i y^j = u^(d-i-j) (v - c)^j
         for (i, j), c in P.items():
             for k in range(j + 1):
-                from math import comb
                 coef = c * comb(j, k) * (-base.c) ** (j - k)
                 key = (deg - i - j, k)
                 out[key] = out.get(key, Fraction(0)) + coef
@@ -227,22 +226,39 @@ def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> TruncSeries2
     return TruncSeries2(out)
 
 
-_U = TruncSeries2.var_u()
-_V = TruncSeries2.var_v()
+def blowup_substitute(F: dict, step, order=None) -> dict:
+    """Total transform of {(i, j): c} into the chart of a child center.
+
+    Free(c) sends u^i v^j to u^(i+j) (v+c)^j, SatV to u^(i+j) v^j and
+    SatU to u^i v^(i+j).  Zero sums and terms of total degree >= ``order``
+    (when given) are dropped; total degree never decreases.
+    """
+    if isinstance(step, SatU):
+        out = {(i, i + j): c for (i, j), c in F.items()}
+    elif isinstance(step, SatV) or (isinstance(step, Free) and step.c == 0):
+        out = {(i + j, j): c for (i, j), c in F.items()}
+    elif isinstance(step, Free):
+        out = {}
+        rows = {}                       # j -> coefficients of (v + c)^j
+        for (i, j), a in F.items():
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = [comb(j, t) * step.c ** (j - t)
+                                 for t in range(j + 1)]
+            top = j + 1 if order is None else min(j + 1, order - i - j)
+            for t in range(top):
+                key = (i + j, t)
+                out[key] = out.get(key, 0) + a * row[t]
+    else:
+        raise InvalidCluster(f"unknown step {step!r}")
+    return {k: c for k, c in out.items()
+            if c and (order is None or k[0] + k[1] < order)}
 
 
 def step_transform(F: TruncSeries2, step, mult: int) -> TruncSeries2:
     """Strict transform of F into the coordinates of a child node."""
-    if isinstance(step, Free):
-        sub_v = TruncSeries2({(1, 1): Fraction(1), (1, 0): step.c})
-        return compose_series(F, _U, sub_v).divide_u(mult)
-    if isinstance(step, SatV):
-        sub_v = TruncSeries2({(1, 1): Fraction(1)})
-        return compose_series(F, _U, sub_v).divide_u(mult)
-    if isinstance(step, SatU):
-        sub_u = TruncSeries2({(1, 1): Fraction(1)})
-        return compose_series(F, sub_u, _V).divide_v(mult)
-    raise InvalidCluster(f"unknown step {step!r}")
+    G = TruncSeries2(blowup_substitute(F.coeffs, step, F.order), F.order)
+    return G.divide_v(mult) if isinstance(step, SatU) else G.divide_u(mult)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +270,13 @@ class GeometryTable:
     """Boundary intersection data for a cluster.
 
     Components are named by LINF and node indices.  The dual graph of the
-    boundary is a tree rooted at LINF.
+    boundary is a tree rooted at LINF.  The table keeps no reference to
+    its cluster, which caches it: without a cycle, both are freed as soon
+    as the last reference goes, not at the next full garbage collection.
     """
 
-    def __init__(self, cluster, comps, inter, ord_x, ord_y, ord_w,
+    def __init__(self, comps, inter, ord_x, ord_y, ord_w,
                  b, alpha, thin, parent, depth):
-        self.cluster = cluster
         self.comps = comps
         self.inter = inter
         self.ord_x = ord_x
@@ -278,18 +295,11 @@ class GeometryTable:
     def minv(self):
         """Inverse of the intersection matrix, computed once."""
         if self._minv is None:
-            n = len(self.comps)
-            rows = [[Fraction(self.inter.get((a, b2), 0))
-                     for b2 in self.comps] for a in self.comps]
-            cols = []
-            for k in range(n):
-                e = [Fraction(0)] * n
-                e[k] = Fraction(1)
-                res = solve_linear(rows, e)
-                if res.solution is None or res.kernel:
-                    raise InternalMismatch("singular intersection matrix")
-                cols.append(res.solution)
-            self._minv = [[cols[j][i] for j in range(n)] for i in range(n)]
+            self._minv = invert_matrix(
+                [[self.inter.get((a, b2), 0) for b2 in self.comps]
+                 for a in self.comps])
+            if self._minv is None:
+                raise InternalMismatch("singular intersection matrix")
         return self._minv
 
     def check_dual(self, i, j) -> Fraction:
@@ -403,9 +413,9 @@ def build_geometry(cl: Cluster) -> GeometryTable:
         thin[i] = Fraction(1 + ord_w[i], b[i])
 
     # the identity alpha = (dual . dual) / b^2 is not re-verified here;
-    # inverting the intersection matrix costs O(n^4) and the randomized
-    # consistency checks cover it
-    return GeometryTable(cl, comps, inter, ord_x, ord_y, ord_w,
+    # it needs the O(n^3) inverse of the intersection matrix, and the
+    # randomized consistency checks cover it
+    return GeometryTable(comps, inter, ord_x, ord_y, ord_w,
                          b, alpha, thin, parent, depth)
 
 

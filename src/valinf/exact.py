@@ -321,7 +321,12 @@ def tpoly_det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
             acc = acc + (term if pos % 2 == 0 else -term)
         return acc
 
-    return minor(0, tuple(range(n)))
+    try:
+        return minor(0, tuple(range(n)))
+    finally:
+        # ``minor`` refers to itself, a reference cycle: emptying its cache
+        # frees the 2^n minors now, not at the next full garbage collection
+        minor.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +452,26 @@ def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveRe
         kernel.append(vec)
 
     return LinSolveResult(solution=solution, kernel=kernel)
+
+
+def invert_matrix(A: Sequence[Sequence]) -> list | None:
+    """Inverse of a square matrix over Q, or None if it is singular.
+
+    One Gauss-Jordan pass over [A | I], O(n^3) field operations.
+    """
+    n = len(A)
+    aug = [[_as_fraction(e) for e in row] + [Fraction(int(i == k))
+                                             for k in range(n)]
+           for i, row in enumerate(A)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        pv = aug[c][c]
+        top = aug[c] = [e / pv for e in aug[c]]
+        for i, row in enumerate(aug):
+            f = row[c]
+            if i != c and f != 0:
+                aug[i] = [e - f * p if p else e for e, p in zip(row, top)]
+    return [row[n:] for row in aug]

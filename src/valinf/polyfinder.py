@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import poly
-from .cluster import Free, SatU, SatV
+from .cluster import base_strict_series, blowup_substitute
 from .errors import InsufficientTruncation, InternalMismatch
 from .exact import Ext, solve_linear
 from .valuations import (Curve, Divisorial, Monomial, Root, Valuation,
@@ -70,100 +70,33 @@ def _root_rows(monomials, strict: bool) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _vec_base_series(base, monomials, d: int):
-    """u^d * P at the base point, coefficients as unit vectors.
-
-    Returns {(a, b): vector}; vector[k] multiplies the unknown of
-    monomials[k].
-    """
-    n = len(monomials)
-    out = {}
-
-    def bump(key, k, c):
-        if c == 0:
-            return
-        vec = out.get(key)
-        if vec is None:
-            vec = out[key] = [Fraction(0)] * n
-        vec[k] += c
-
-    for k, (i, j) in enumerate(monomials):
-        if base.chart == "x":
-            # x = 1/u, y = (v - c)/u
-            for t in range(j + 1):
-                bump((d - i - j, t), k,
-                     Fraction(comb(j, t)) * (-base.c) ** (j - t))
-        else:
-            # x = v/u, y = 1/u
-            bump((d - i - j, i), k, Fraction(1))
-    return out
-
-
-def _vec_step(F: dict, step) -> dict:
-    """Total transform of F under one blowup (no exceptional division)."""
-    out = {}
-
-    def bump(key, vec):
-        cur = out.get(key)
-        if cur is None:
-            out[key] = list(vec)
-        else:
-            for k, c in enumerate(vec):
-                cur[k] += c
-
-    for (a, b), vec in F.items():
-        if isinstance(step, Free):
-            # v -> u (v + c)
-            for t in range(b + 1):
-                c = Fraction(comb(b, t)) * step.c ** (b - t)
-                if c:
-                    bump((a + b, t), [c * e for e in vec])
-        elif isinstance(step, SatV):
-            bump((a + b, b), vec)
-        else:                                   # SatU: u -> u v
-            bump((a, a + b), vec)
-    return out
-
-
-def _poly_step(F: dict, step) -> dict:
-    """Total transform of a plain {(a, b): coeff} polynomial."""
-    out = {}
-    for (a, b), c in F.items():
-        if isinstance(step, Free):
-            for t in range(b + 1):
-                coef = c * comb(b, t) * step.c ** (b - t)
-                if coef:
-                    key = (a + b, t)
-                    out[key] = out.get(key, Fraction(0)) + coef
-        elif isinstance(step, SatV):
-            key = (a + b, b)
-            out[key] = out.get(key, Fraction(0)) + c
-        else:
-            key = (a, a + b)
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def _divisorial_rows(v: Divisorial, monomials, d: int, strict: bool) -> list:
     cl, node = v.realize()
     path = cl.path(node)
     base = cl.nodes[path[0]].base
+    steps = [cl.nodes[i].step for i in path[1:]]
     # pull back the local equation u of the line at infinity first;
     # ord_E(P) = mult(F) - d * mult(u) at the blown-up center
     U = {(1, 0): Fraction(1)}
-    for i in path[1:]:
-        U = _poly_step(U, cl.nodes[i].step)
+    for st in steps:
+        U = blowup_substitute(U, st)
     # multiplicity at a point is the minimal total degree of the local
     # expansion; ord along the divisor of the blown-up point equals it
     need = d * min(a + b for (a, b) in U) + (1 if strict else 0)
-    # total degree never decreases under a blowup substitution, so terms
-    # at or above the threshold can be discarded as they appear
-    F = _vec_base_series(base, monomials, d)
-    F = {k: vec for k, vec in F.items() if k[0] + k[1] < need}
-    for i in path[1:]:
-        F = _vec_step(F, cl.nodes[i].step)
-        F = {k: vec for k, vec in F.items() if k[0] + k[1] < need}
-    return [list(vec) for vec in F.values() if any(vec)]
+    # the total transform is linear in the unknowns: push each monomial
+    # through the charts alone, discarding terms at or above the threshold
+    # as they appear (total degree never decreases under a blowup)
+    cols = {}
+    for k, m in enumerate(monomials):
+        F = {key: c for key, c
+             in base_strict_series(base, {m: Fraction(1)}, d).coeffs.items()
+             if key[0] + key[1] < need}
+        for st in steps:
+            F = blowup_substitute(F, st, need)
+        for key, c in F.items():
+            cols.setdefault(key, {})[k] = c
+    return [[row.get(k, Fraction(0)) for k in range(len(monomials))]
+            for row in cols.values()]
 
 
 def _curve_rows(v: Curve, monomials, strict: bool) -> list:

@@ -35,6 +35,24 @@ def parse_rational(s) -> Fraction:
         raise ScenarioError(f"bad rational {s!r}: {e}") from e
 
 
+def _field(obj, key, *default):
+    """obj[key] of a JSON object; a ScenarioError names a missing field."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"expected an object with field {key!r}, "
+                            f"got {obj!r}")
+    if key not in obj and not default:
+        raise ScenarioError(f"missing field {key!r}")
+    return obj.get(key, *default)
+
+
+def _int(x, key) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise ScenarioError(
+            f"field {key!r} must be an integer, got {x!r}") from None
+
+
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
@@ -56,11 +74,11 @@ class Scenario:
 
 
 def _parse_base(obj) -> PointAtInfinity:
-    chart = obj.get("chart")
+    chart = _field(obj, "chart")
     if chart == "y":
         return PointAtInfinity("y")
     if chart == "x":
-        return PointAtInfinity("x", parse_rational(obj.get("c", "0")))
+        return PointAtInfinity("x", parse_rational(_field(obj, "c", "0")))
     raise ScenarioError(f"base chart must be 'x' or 'y', got {chart!r}")
 
 
@@ -71,9 +89,9 @@ def _format_base(base: PointAtInfinity) -> dict:
 
 
 def _parse_step(obj):
-    t = obj.get("type")
+    t = _field(obj, "type")
     if t == "free":
-        return Free(parse_rational(obj.get("c", "0")))
+        return Free(parse_rational(_field(obj, "c", "0")))
     if t == "satellite-u":
         return SatU()
     if t == "satellite-v":
@@ -90,27 +108,31 @@ def _format_step(step) -> dict:
 
 
 def parse_valuation(obj) -> Valuation:
-    kind = obj.get("kind")
+    kind = _field(obj, "kind")
     if kind == "root":
         return ROOT
     if kind == "monomial":
-        return Monomial(parse_rational(obj["s"]), parse_rational(obj["t"]))
+        return Monomial(parse_rational(_field(obj, "s")),
+                        parse_rational(_field(obj, "t")))
     if kind == "divisorial":
-        base = _parse_base(obj["base"])
-        steps = [_parse_step(s) for s in obj.get("steps", [])]
+        base = _parse_base(_field(obj, "base"))
+        steps = [_parse_step(s) for s in _field(obj, "steps", [])]
         nodes = [Node(parent=-1, base=base, step=None)]
         for k, st in enumerate(steps):
             nodes.append(Node(parent=k, base=None, step=st))
         cl = Cluster(nodes)
         return Divisorial(cl, len(cl) - 1)
     if kind == "curve":
-        base = _parse_base(obj["base"])
-        m = int(obj["m"])
-        coeffs = {int(k): parse_rational(v)
-                  for k, v in obj.get("coefficients", {}).items()}
-        K = int(obj.get("K", max(coeffs, default=0) + 1))
-        return curve_of_series(base, m, coeffs, K,
-                               exact=bool(obj.get("exact", False)))
+        base = _parse_base(_field(obj, "base"))
+        m = _int(_field(obj, "m"), "m")
+        coeffs = {_int(k, "coefficients"): parse_rational(v)
+                  for k, v in _field(obj, "coefficients", {}).items()}
+        K = _int(_field(obj, "K", max(coeffs, default=0) + 1), "K")
+        try:
+            return curve_of_series(base, m, coeffs, K,
+                                   exact=bool(_field(obj, "exact", False)))
+        except ValueError as e:
+            raise ScenarioError(f"curve series: {e}") from None
     raise ScenarioError(f"unknown valuation kind {kind!r}")
 
 
@@ -144,6 +166,9 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    if not isinstance(obj, dict):
+        raise ScenarioError("the top level of a scenario must be an object, "
+                            f"got {type(obj).__name__}")
     if obj.get("format") != FORMAT:
         raise ScenarioError(f"unsupported format {obj.get('format')!r}; "
                             f"expected {FORMAT}")

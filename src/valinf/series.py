@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 
 class TruncationUnderflow(ArithmeticError):
@@ -164,6 +164,8 @@ def compose_series(f: TruncSeries2, sub_u: TruncSeries2,
                    sub_v: TruncSeries2) -> TruncSeries2:
     """Substitute u := sub_u, v := sub_v into f.
 
+    Blowup charts use the direct ``cluster.blowup_substitute``; the tests
+    keep this generic composition as its oracle.
     Substitutions with nonzero constant term (translations) are allowed
     only when f is an exact polynomial, since re-expansion at the new
     origin mixes all orders.
@@ -381,7 +383,3 @@ class PuiseuxSeries:
         prec = None if self.exact else self.K + 1
         return LaurentSeries({j: c for j, c in self.coeffs}, prec)
 
-
-def binomial_expand(c: Fraction, power: int):
-    """Coefficients of (v + c)^power as a list indexed by the v-exponent."""
-    return [comb(power, k) * c ** (power - k) for k in range(power + 1)]

@@ -157,3 +157,17 @@ def test_domain_error_exits_2(tmp_path, capsys):
     p.write_text(json.dumps({"format": 3}))
     rc, _, err = run(capsys, "chi", "-f", str(p))
     assert rc == 2 and "format" in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ([SCENARIO], "object"),
+    ({"format": 1, "valuations": {"m": {"kind": "monomial", "s": "-1"}}},
+     "'t'"),
+    ({"format": 1, "valuations": {"c": dict(SCENARIO["valuations"]["c1"],
+                                            m="two")}}, "'m'"),
+], ids=["top-level-list", "monomial-without-t", "curve-m-not-integer"])
+def test_bad_scenario_field_exits_2(tmp_path, capsys, doc, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "skewness", "-f", str(p))
+    assert rc == 2 and err.startswith("error:") and field in err

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -151,3 +153,17 @@ def test_alpha_monotone_and_thinness_increasing_on_dual_paths():
         p = g.parent[comp]
         assert g.alpha[comp] < g.alpha[p]
         assert g.thin[comp] > g.thin[p]
+
+
+def test_cluster_with_geometry_freed_without_gc():
+    # the cached geometry must not point back at its cluster: a cycle
+    # would keep both alive until the next full collection
+    gc.disable()
+    try:
+        cl, _ = branch_to_nodes(PY, CUSP, 9)
+        cl.geometry().minv()
+        ref = weakref.ref(cl)
+        del cl
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -135,3 +136,18 @@ class TestSolveLinear:
         for k in res.kernel:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, k)) == 0
+
+
+def test_tpoly_det_frees_its_minors_on_return():
+    # the memoized recursion is a reference cycle; its 2^n cached minors
+    # must not wait for the cyclic garbage collector
+    n = 7
+    rows = [[TPoly([Fraction(i + j + 1), Fraction(int(i == j))])
+             for j in range(n)] for i in range(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        tpoly_det(rows)
+        assert gc.collect() < 2 ** n
+    finally:
+        gc.enable()
