@@ -6,18 +6,18 @@ Exit codes: 0 success, 1 internal error, 2 domain or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from . import poly
-from .adelic import ARCH, AdelicBranch, algebraize
+from .adelic import algebraize
 from .errors import DomainError
 from .exact import Ext
 from .potential import EdgePoint, point_skewness
 from .scenario import (Scenario, ScenarioError, format_ext, format_rational,
-                       format_valuation, load_scenario, parse_rational,
-                       parse_valuation, serialize_scenario)
+                       format_valuation, load_scenario, parse_algebraize)
 from .valuations import (Curve, Divisorial, Monomial, Root, evaluate, meet,
                          skewness, thinness)
 
@@ -245,26 +245,8 @@ def cmd_algebraize(args, sc):
     spec = sc.algebraize
     if not spec:
         raise ScenarioError("scenario has no algebraize section")
-    branches = []
-    for bs in spec.get("branches", []):
-        if "polynomial" in bs:
-            from .puiseux import branches_at_infinity
-
-            found = branches_at_infinity(poly.parse(bs["polynomial"]))
-            curves = [Curve(b) for b in found]
-        else:
-            curves = [parse_valuation(bs["curve"])]
-        for cv in curves:
-            branches.append(AdelicBranch(
-                curve=cv,
-                primes=tuple(int(p) for p in bs.get("primes", [])),
-                radius={(ARCH if k == ARCH else int(k)): parse_rational(r)
-                        for k, r in bs.get("radius", {}).items()},
-                bound={(ARCH if k == ARCH else int(k)): parse_rational(r)
-                       for k, r in bs.get("bound", {}).items()}))
-    points = [(parse_rational(px), parse_rational(py))
-              for px, py in spec.get("points", [])]
-    D = args.max_degree or int(spec.get("max_degree", 6))
+    branches, points, D = parse_algebraize(spec)
+    D = args.max_degree or D
     rep = algebraize(branches, points, D)
     lines = [f"witness P = {poly.to_string(rep.witness)}",
              "T = {" + ", ".join(format_rational(t) for t in rep.values) + "}",
@@ -319,7 +301,9 @@ COMMANDS = {
 NEEDS_FILE = {c for c in COMMANDS} - {"oracle-check"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-f", "--file", help="scenario JSON file")
     common.add_argument("--json", action="store_true",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (InvalidCluster, InternalMismatch, RootValuation,
                      ZeroPolynomial)
@@ -98,11 +98,19 @@ class PuiseuxBranch:
 
 
 class Cluster:
-    """An immutable forest of infinitely near points."""
+    """An immutable forest of infinitely near points.
+
+    It caches its geometry and, for the last ``STRICT_MEMO_POLYS``
+    polynomials evaluated on it, the strict transform and ord at every
+    node reached so far (see ``ord_along_path``).
+    """
+
+    STRICT_MEMO_POLYS = 8
 
     def __init__(self, nodes):
         self.nodes = tuple(nodes)
         self._geometry = None
+        self._strict = {}
         self._validate()
 
     def _validate(self):
@@ -238,17 +246,26 @@ def blowup_substitute(F: dict, step, order=None) -> dict:
     elif isinstance(step, SatV) or (isinstance(step, Free) and step.c == 0):
         out = {(i + j, j): c for (i, j), c in F.items()}
     elif isinstance(step, Free):
+        # integer arithmetic over the common denominator den = D q^J, for
+        # F's denominators dividing D, c = p/q and degrees j <= J in v
+        p, q = step.c.numerator, step.c.denominator
+        D = lcm(*(a.denominator for a in F.values()))
+        J = max((j for _, j in F), default=0)
         out = {}
-        rows = {}                       # j -> coefficients of (v + c)^j
+        rows = {}               # j -> q^J times the coefficients of (v + c)^j
         for (i, j), a in F.items():
             row = rows.get(j)
             if row is None:
-                row = rows[j] = [comb(j, t) * step.c ** (j - t)
+                row = rows[j] = [comb(j, t) * p ** (j - t) * q ** (J - j + t)
                                  for t in range(j + 1)]
+            n = a.numerator * (D // a.denominator)
             top = j + 1 if order is None else min(j + 1, order - i - j)
             for t in range(top):
                 key = (i + j, t)
-                out[key] = out.get(key, 0) + a * row[t]
+                out[key] = out.get(key, 0) + n * row[t]
+        den = D * q ** J
+        return {k: Fraction(c, den) for k, c in out.items()
+                if c and (order is None or k[0] + k[1] < order)}
     else:
         raise InvalidCluster(f"unknown step {step!r}")
     return {k: c for k, c in out.items()
@@ -257,7 +274,8 @@ def blowup_substitute(F: dict, step, order=None) -> dict:
 
 def step_transform(F: TruncSeries2, step, mult: int) -> TruncSeries2:
     """Strict transform of F into the coordinates of a child node."""
-    G = TruncSeries2(blowup_substitute(F.coeffs, step, F.order), F.order)
+    G = TruncSeries2.unchecked(blowup_substitute(F.coeffs, step, F.order),
+                               F.order)
     return G.divide_v(mult) if isinstance(step, SatU) else G.divide_u(mult)
 
 
@@ -428,29 +446,51 @@ def poly_degree(P: dict) -> int:
     return max(i + j for (i, j), c in P.items() if c != 0)
 
 
-def ord_along_path(cl: Cluster, node: int, P: dict) -> dict:
-    """ord_E(P) for every divisor E on the center path of ``node``.
+def _strict_memo(cl: Cluster, P: dict):
+    """(P normalized, {LINF or node: (strict transform, its mult, ord)}).
 
-    Independent of build_geometry's x/y bookkeeping: propagates the strict
-    transform of P itself through the charts.
+    The memo lives on the cluster, holds at most
+    ``Cluster.STRICT_MEMO_POLYS`` polynomials and evicts the oldest.
     """
     if not P or all(c == 0 for c in P.values()):
         raise ZeroPolynomial("cannot evaluate on the zero polynomial")
     P = {k: _q(c) for k, c in P.items() if c != 0}
-    d = poly_degree(P)
+    key = frozenset((k, c.numerator, c.denominator) for k, c in P.items())
+    memo = cl._strict.get(key)
+    if memo is None:
+        if len(cl._strict) >= Cluster.STRICT_MEMO_POLYS:
+            del cl._strict[next(iter(cl._strict))]
+        memo = cl._strict[key] = {LINF: (None, None, -poly_degree(P))}
+    return P, memo
+
+
+def ord_along_path(cl: Cluster, node: int, P: dict) -> dict:
+    """ord_E(P) for every divisor E on the center path of ``node``.
+
+    Independent of build_geometry's x/y bookkeeping: propagates the strict
+    transform of P itself through the charts.  The transforms are kept on
+    the cluster, so a query continues from the deepest node already
+    reached, and P costs one transform per node of the cluster however
+    many nodes it is evaluated at.
+    """
+    P, memo = _strict_memo(cl, P)
     path = cl.path(node)
-    base = cl.nodes[path[0]].base
-    F = base_strict_series(base, P, d)
-    ords = {LINF: -d}
-    for i in path:
+    k = len(path)
+    while k and path[k - 1] not in memo:
+        k -= 1
+    for i in path[k:]:
         nd = cl.nodes[i]
-        if nd.parent != -1:
-            F = step_transform(F, nd.step, F.mult())
+        if nd.parent == -1:
+            F = base_strict_series(nd.base, P, -memo[LINF][2])
+        else:
+            F, mult, _ = memo[nd.parent]
+            F = step_transform(F, nd.step, mult)
+        mult = F.mult()
         ua, va = cl.axes[i]
-        through = [ua] + ([va] if va is not None else [])
         # axes of a path node are themselves on the path (or LINF)
-        ords[i] = sum(ords[bc] for bc in through) + F.mult()
-    return ords
+        memo[i] = (F, mult, memo[ua][2] + mult
+                   + (memo[va][2] if va is not None else 0))
+    return {c: memo[c][2] for c in [LINF] + path}
 
 
 def eval_divisorial(cl: Cluster, node: int, P: dict) -> Fraction:

@@ -20,6 +20,10 @@ class ZeroPolynomial(DomainError):
     pass
 
 
+class PolynomialSyntaxError(DomainError):
+    """Polynomial text outside the grammar of ``poly.parse``."""
+
+
 class PrecisionExceeded(DomainError):
     pass
 
@@ -72,6 +76,7 @@ class Undecidable(DomainError):
 
 __all__ = [
     "DomainError", "InvalidCluster", "InternalMismatch", "ZeroPolynomial",
+    "PolynomialSyntaxError",
     "PrecisionExceeded", "RootValuation", "NotDivisorial",
     "NeedsFieldExtension", "ZeroOrConstant", "PreconditionViolated",
     "SkewnessTooHigh", "SingularSystem", "KernelDimensionNotOne",

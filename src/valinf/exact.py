@@ -3,14 +3,15 @@
 Everything downstream runs on `fractions.Fraction`.  This module adds the
 two-point extension of the rationals (``Ext``), polynomials in one formal
 parameter read at the limit u -> -infinity (``TPoly``), symmetric matrices
-whose entries may be -infinity, and plain exact Gaussian elimination.
+whose entries may be -infinity, exact Gaussian elimination over Q, and
+fraction-free elimination over Z for determinants and inverses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 
@@ -298,37 +299,6 @@ def limit_at_neg_infinity(p: TPoly) -> Ext:
     return POS_INF if sign > 0 else NEG_INF
 
 
-def tpoly_det(rows: Sequence[Sequence[TPoly]]) -> TPoly:
-    """Determinant of a square TPoly matrix by memoized minor expansion."""
-    n = len(rows)
-    if n == 0:
-        return TPoly.const(1)
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("non-square matrix")
-
-    @lru_cache(maxsize=None)
-    def minor(row: int, cols: tuple) -> TPoly:
-        if row == n:
-            return TPoly.const(1)
-        acc = TPoly()
-        for pos, col in enumerate(cols):
-            entry = rows[row][col]
-            if entry.is_zero():
-                continue
-            rest = cols[:pos] + cols[pos + 1:]
-            term = entry * minor(row + 1, rest)
-            acc = acc + (term if pos % 2 == 0 else -term)
-        return acc
-
-    try:
-        return minor(0, tuple(range(n)))
-    finally:
-        # ``minor`` refers to itself, a reference cycle: emptying its cache
-        # frees the 2^n minors now, not at the next full garbage collection
-        minor.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # symmetric extended matrices
 # ---------------------------------------------------------------------------
@@ -352,20 +322,24 @@ class SymMatrixExt:
         self.entries = rows
         self.size = n
 
-    def _tpoly_rows(self, k: int):
-        u = TPoly.param()
-        out = []
-        for i in range(k):
-            row = []
-            for j in range(k):
-                e = self.entries[i][j]
-                row.append(u if e.kind < 0 else TPoly.const(e.q))
-            out.append(row)
-        return out
-
     def det_tpoly(self, k: int | None = None) -> TPoly:
+        """det of the leading k x k block with u in place of every -inf.
+
+        Its degree in u is at most r, the number of rows that hold a -inf
+        entry, so the values at u = 0..r fix it: p(u) is the sum of the
+        forward differences Delta^j p(0) times binomial(u, j).
+        """
         k = self.size if k is None else k
-        return tpoly_det(self._tpoly_rows(k))
+        block = [row[:k] for row in self.entries[:k]]
+        r = sum(1 for row in block if any(e.kind < 0 for e in row))
+        diffs = [det([[u if e.kind < 0 else e.q for e in row]
+                      for row in block]) for u in range(r + 1)]
+        out, binom = TPoly(), TPoly.const(1)
+        for j in range(r + 1):
+            out = out + binom.scale(diffs[0])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            binom = (binom * TPoly([-j, 1])).scale(Fraction(1, j + 1))
+        return out
 
 
 def chi_det(M: SymMatrixExt) -> Ext:
@@ -454,24 +428,68 @@ def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveRe
     return LinSolveResult(solution=solution, kernel=kernel)
 
 
+def _integer_rows(A: Sequence[Sequence]):
+    """(rows, scales): each row of A times the lcm of its denominators."""
+    rows, scales = [], []
+    for row in A:
+        if all(type(e) is int for e in row):
+            rows.append(list(row))
+            scales.append(1)
+            continue
+        row = [_as_fraction(e) for e in row]
+        s = lcm(*(e.denominator for e in row))
+        rows.append([e.numerator * (s // e.denominator) for e in row])
+        scales.append(s)
+    return rows, scales
+
+
+def _bareiss(a: list) -> int:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of an integer matrix with n rows and at least n columns.
+
+    Works in place and returns d, the determinant of the leading n x n
+    block B.  If d != 0, a ends as [d I | d B^-1 C] for a = [B | C].
+    Every intermediate entry is a minor of a, so each division is exact.
+    """
+    prev = 1
+    for k in range(len(a)):
+        if not a[k][k]:
+            s = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if s is None:
+                return 0
+            # a swap with one row negated keeps the determinant's sign
+            a[k], a[s] = [-e for e in a[s]], a[k]
+        top = a[k]
+        p = top[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                a[i] = [(p * e - f * t) // prev for e, t in zip(row, top)]
+        prev = p
+    return prev
+
+
+def det(A: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix over Q, O(n^3) integer operations."""
+    n = len(A)
+    if any(len(row) != n for row in A):
+        raise ValueError("non-square matrix")
+    rows, scales = _integer_rows(A)
+    return Fraction(_bareiss(rows), prod(scales))
+
+
 def invert_matrix(A: Sequence[Sequence]) -> list | None:
     """Inverse of a square matrix over Q, or None if it is singular.
 
-    One Gauss-Jordan pass over [A | I], O(n^3) field operations.
+    One fraction-free pass over [S A | I], where the diagonal S scales
+    A's rows to integers; then A^-1 = (S A)^-1 S.
     """
     n = len(A)
-    aug = [[_as_fraction(e) for e in row] + [Fraction(int(i == k))
-                                             for k in range(n)]
-           for i, row in enumerate(A)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        pv = aug[c][c]
-        top = aug[c] = [e / pv for e in aug[c]]
-        for i, row in enumerate(aug):
-            f = row[c]
-            if i != c and f != 0:
-                aug[i] = [e - f * p if p else e for e, p in zip(row, top)]
-    return [row[n:] for row in aug]
+    rows, scales = _integer_rows(A)
+    for i, row in enumerate(rows):
+        row.extend(int(i == k) for k in range(n))
+    d = _bareiss(rows)
+    if not d:
+        return None
+    return [[Fraction(row[n + j] * scales[j], d) for j in range(n)]
+            for row in rows]

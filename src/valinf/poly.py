@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import ZeroPolynomial
+from .errors import PolynomialSyntaxError, ZeroPolynomial
 
 
 def _q(x) -> Fraction:
@@ -98,42 +99,145 @@ def to_string(P: dict) -> str:
     return " ".join(parts)
 
 
+_TOKEN = re.compile(r"\s*(\d+|\*\*|[-+*/^()xy])")
+
+
 def parse(text: str) -> dict:
-    """Parse a polynomial in x, y with rational coefficients."""
-    import sympy
+    """Parse a polynomial in x, y with rational coefficients.
 
-    x, y = sympy.symbols("x y")
-    expr = sympy.sympify(text.replace("^", "**"), locals={"x": x, "y": y})
-    poly = sympy.Poly(sympy.expand(expr), x, y, domain="QQ")
-    out = {}
-    for (i, j), c in poly.terms():
-        out[(int(i), int(j))] = Fraction(int(c.numerator), int(c.denominator))
-    return normalize(out)
+    The grammar, with whitespace allowed between tokens:
+
+        expr   := term (("+" | "-") term)*
+        term   := factor (("*" | "/") factor)*
+        factor := ("+" | "-") factor | atom [("^" | "**") integer]
+        atom   := integer | "x" | "y" | "(" expr ")"
+
+    A divisor must be a nonzero constant.  Any other text raises
+    PolynomialSyntaxError; nothing in it is evaluated as code.
+    """
+    if not isinstance(text, str):
+        raise PolynomialSyntaxError(f"a polynomial must be a string, "
+                                    f"got {text!r}")
+    toks, pos = [], 0
+    while (m := _TOKEN.match(text, pos)) is not None:
+        toks.append(m.group(1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise PolynomialSyntaxError(
+            f"unexpected {text[pos:].lstrip()[:12]!r} at position {pos}")
+    at = 0
+
+    def peek():
+        return toks[at] if at < len(toks) else None
+
+    def take():
+        nonlocal at
+        at += 1
+        return toks[at - 1] if at <= len(toks) else None
+
+    def expr():
+        out = term()
+        while peek() in ("+", "-"):
+            op, rhs = take(), term()
+            out = add(out, rhs if op == "+" else scale(rhs, -1))
+        return out
+
+    def term():
+        out = factor()
+        while peek() in ("*", "/"):
+            op, rhs = take(), factor()
+            if op == "*":
+                out = mul(out, rhs)
+            elif set(rhs) == {(0, 0)}:
+                out = scale(out, 1 / rhs[(0, 0)])
+            else:
+                raise PolynomialSyntaxError(
+                    "division by zero or by a non-constant polynomial")
+        return out
+
+    def factor():
+        if peek() in ("+", "-"):
+            return factor() if take() == "+" else scale(factor(), -1)
+        base = atom()
+        if peek() not in ("^", "**"):
+            return base
+        take()
+        e = take()
+        if e is None or not e.isdigit():
+            raise PolynomialSyntaxError(
+                "an exponent must be a non-negative integer")
+        return power(base, int(e))
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            out = expr()
+            if take() != ")":
+                raise PolynomialSyntaxError("missing ')'")
+            return out
+        if tok == "x" or tok == "y":
+            return {(1, 0) if tok == "x" else (0, 1): Fraction(1)}
+        if tok is not None and tok.isdigit():
+            return normalize({(0, 0): int(tok)})
+        raise PolynomialSyntaxError(
+            f"unexpected {'end' if tok is None else repr(tok)}")
+
+    try:
+        out = expr()
+    except RecursionError:
+        raise PolynomialSyntaxError("nesting too deep") from None
+    if at < len(toks):
+        raise PolynomialSyntaxError(f"unexpected {toks[at]!r}")
+    return out
 
 
-def from_sympy(expr) -> dict:
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    p = sympy.Poly(sympy.expand(expr), x, y, domain="QQ")
-    out = {}
-    for (i, j), c in p.terms():
-        out[(int(i), int(j))] = Fraction(int(c.numerator), int(c.denominator))
-    return normalize(out)
+def power(P: dict, e: int) -> dict:
+    """P^e for an integer e >= 0, by repeated squaring."""
+    out = {(0, 0): Fraction(1)}
+    while e:
+        if e & 1:
+            out = mul(out, P)
+        e >>= 1
+        if e:
+            P = mul(P, P)
+    return out
 
 
 def factor_rational(P: dict):
-    """Irreducible factors over Q with multiplicities, content dropped."""
-    import sympy
+    """Irreducible factors over Q with multiplicities, content dropped.
 
-    expr = to_sympy(require_nonzero(P))
-    _, factors = sympy.factor_list(expr)
-    out = []
-    for f, e in factors:
-        fd = from_sympy(f)
-        if degree(fd) >= 1:
-            out.append((fd, int(e)))
-    return out
+    The factors come in the order that ``sympy.factor_list`` gives on the
+    expression of P: the monomial x^a y^b dividing P splits into its
+    powers, the rest is factored in the variables it involves, and all
+    factors are sorted by sympy's key (dense length, number of variables,
+    multiplicity, dense coefficients), x before y on a tie.
+    """
+    P = require_nonzero(P)
+    a = min(i for i, _ in P)
+    b = min(j for _, j in P)
+    keyed = [((2, 1, e, [1, 0]), {m: Fraction(1)}, e)
+             for m, e in (((1, 0), a), ((0, 1), b)) if e]
+    rest = {(i - a, j - b): c for (i, j), c in P.items()}
+    used = [k for k in (0, 1) if any(m[k] for m in rest)]
+    if used:
+        import sympy
+
+        xy = sympy.symbols("x y")
+        p = sympy.Poly.from_dict(
+            {tuple(m[k] for k in used):
+             sympy.Rational(c.numerator, c.denominator)
+             for m, c in rest.items()}, *[xy[k] for k in used], domain="QQ")
+        for f, e in p.factor_list()[1]:
+            fd = {}
+            for mono, c in f.terms():
+                ij = [0, 0]
+                for k, d in zip(used, mono):
+                    ij[k] = int(d)
+                fd[tuple(ij)] = Fraction(int(c.numerator), int(c.denominator))
+            rep = f.rep.to_list()
+            keyed.append(((len(rep), len(used), int(e), rep), fd, int(e)))
+    keyed.sort(key=lambda t: t[0])
+    return [(fd, e) for _, fd, e in keyed]
 
 
 def to_sympy(P: dict):

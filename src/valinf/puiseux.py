@@ -9,6 +9,7 @@ NeedsFieldExtension as soon as an irrational coefficient would appear.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import poly
@@ -31,30 +32,6 @@ def _q(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _poly_u_coeff(G: dict, s: dict, k_max: int) -> dict:
-    """Coefficients of G(u, s(u)) as a univariate dict, exact up to u^k_max."""
-    jmax = max(j for _, j in G)
-    pows = {0: {0: Fraction(1)}}
-    for j in range(1, jmax + 1):
-        prev = pows[j - 1]
-        cur = {}
-        for e1, c1 in prev.items():
-            for e2, c2 in s.items():
-                e = e1 + e2
-                if e > k_max:
-                    continue
-                cur[e] = cur.get(e, Fraction(0)) + c1 * c2
-        pows[j] = cur
-    out = {}
-    for (i, j), c in G.items():
-        for e, cs in pows[j].items():
-            e2 = i + e
-            if e2 > k_max:
-                continue
-            out[e2] = out.get(e2, Fraction(0)) + c * cs
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def _tail_coeffs(G: dict, K: int):
     """Series v(u) solving G(u, v) = 0 at a simple root v = 0.
 
@@ -66,14 +43,32 @@ def _tail_coeffs(G: dict, K: int):
         raise InternalMismatch("tail solving needs a simple root")
     if G.get((0, 0)):
         raise InternalMismatch("tail solving needs a root at the origin")
+    # pows[j][k] is the coefficient of u^k in s^j.  s has order >= 1, so
+    # for j >= 2 it needs only s_1..s_(k-1), and so does every term of
+    # the u^k coefficient of G(u, s) except g01 * s_k: one pass per k
+    # fixes s_k, O(jmax K^2) in all.
+    jmax = max(j for _, j in G)
+    pows = [[Fraction(int(j == 0))] for j in range(jmax + 1)]
     s = {}
+
+    def residual(k):
+        """The u^k coefficient of G(u, s) with s_k and beyond taken as 0."""
+        pows[0].append(Fraction(0))
+        pows[1].append(Fraction(0))
+        for j in range(2, jmax + 1):
+            lower = pows[j - 1]
+            pows[j].append(sum(c * lower[k - t] for t, c in s.items()
+                               if lower[k - t]))
+        return sum(c * pows[j][k - i] for (i, j), c in G.items() if i <= k)
+
     for k in range(1, K + 1):
-        res = _poly_u_coeff(G, s, k)
-        r = res.get(k, Fraction(0))
+        r = residual(k)
         if r:
-            s[k] = -r / g01
-    exact = not _poly_u_coeff(G, s, 1 << 30)
-    return s, exact
+            s[k] = pows[1][k] = -r / g01
+    # G(u, s) vanishes to order K; the series is exact iff it vanishes up
+    # to its degree, and a series that goes on fails at its next term
+    top = max(i + j * max(s, default=0) for i, j in G)
+    return s, not any(residual(k) for k in range(K + 1, top + 1))
 
 
 def _lower_edges(G: dict):
@@ -129,6 +124,15 @@ def _rational_root_of(t0: Fraction, p: int):
     return Fraction(sign * int(rn), int(rd))
 
 
+def _univariate(coeffs: dict):
+    """sympy.Poly in t over QQ with the coefficients {exponent: c}."""
+    import sympy
+
+    return sympy.Poly.from_dict(
+        {(e,): sympy.Rational(c.numerator, c.denominator)
+         for e, c in coeffs.items()}, sympy.Symbol("t"), domain="QQ")
+
+
 def _char_roots(G: dict, on_edge, p: int, jmin: int):
     """Rational first coefficients c (with multiplicity) on an edge.
 
@@ -138,14 +142,8 @@ def _char_roots(G: dict, on_edge, p: int, jmin: int):
     """
     import sympy
 
-    coeffs = {}
-    for (i, j) in on_edge:
-        coeffs[(j - jmin) // p] = G[(i, j)]
-    t = sympy.symbols("t")
-    expr = sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator) * t ** e
-        for e, c in coeffs.items()])
-    _, factors = sympy.factor_list(sympy.Poly(expr, t, domain="QQ"))
+    pol = _univariate({(j - jmin) // p: G[(i, j)] for (i, j) in on_edge})
+    _, factors = sympy.factor_list(pol)
     roots = []
     for f, e in factors:
         if f.degree() == 0:
@@ -226,13 +224,8 @@ def _base_points(f: dict):
     import sympy
 
     d = poly.degree(f)
-    top = {j: c for (i, j), c in f.items() if i + j == d}
-    t = sympy.symbols("t")
-    expr = sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator) * t ** j
-        for j, c in top.items()])
     bases = []
-    pol = sympy.Poly(expr, t, domain="QQ")
+    pol = _univariate({j: c for (i, j), c in f.items() if i + j == d})
     if pol.degree() < d:
         bases.append(PointAtInfinity("y"))
     _, factors = sympy.factor_list(pol)
@@ -250,24 +243,24 @@ def _base_points(f: dict):
     return bases
 
 
-_BRANCH_CACHE = {}
-
-
 def weighted_branches(Q: dict, K=None):
     """All branches of {Q=0} at infinity as (PuiseuxBranch, weight) pairs.
 
     The weight is the multiplicity of the irreducible factor carrying the
     branch; the sum of weight * ramification over all pairs is deg Q.
+    Returns a tuple, shared with later calls on the same Q and K.
     """
     Q = poly.require_nonzero(Q)
     d = poly.degree(Q)
     if d == 0:
         raise ZeroOrConstant("constant polynomial has no branches")
-    if K is None:
-        K = 4 * d * d
-    key = (tuple(sorted(Q.items())), K)
-    if key in _BRANCH_CACHE:
-        return _BRANCH_CACHE[key]
+    return _branches(tuple(sorted(Q.items())), 4 * d * d if K is None else K)
+
+
+@lru_cache(maxsize=1024)
+def _branches(terms: tuple, K: int):
+    Q = dict(terms)
+    d = poly.degree(Q)
     out = []
     mass = 0
     for f, e in poly.factor_rational(Q):
@@ -293,8 +286,7 @@ def weighted_branches(Q: dict, K=None):
         mass += e * fmass
     if mass != d:
         raise InternalMismatch("total branch mass must equal the degree")
-    _BRANCH_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
 def branches_at_infinity(Q: dict, K=None):

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
+from .adelic import ARCH, AdelicBranch
 from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV)
-from .errors import DomainError
+from .errors import DomainError, PolynomialSyntaxError
 from .exact import Ext, NEG_INF, POS_INF
+from .puiseux import branches_at_infinity
 from .valuations import (Curve, Divisorial, Monomial, ROOT, Root, Valuation,
                          curve_of_series)
 
@@ -35,14 +37,20 @@ def parse_rational(s) -> Fraction:
         raise ScenarioError(f"bad rational {s!r}: {e}") from e
 
 
-def _field(obj, key, *default):
-    """obj[key] of a JSON object; a ScenarioError names a missing field."""
+def _field(obj, key, *default, kind=None):
+    """obj[key] of a JSON object, checked to be a ``kind`` if given;
+    a ScenarioError names a missing or mistyped field."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object with field {key!r}, "
                             f"got {obj!r}")
     if key not in obj and not default:
         raise ScenarioError(f"missing field {key!r}")
-    return obj.get(key, *default)
+    out = obj.get(key, *default)
+    if kind is not None and key in obj and not isinstance(out, kind):
+        raise ScenarioError(f"field {key!r} must be "
+                            f"{'an object' if kind is dict else 'a list'}, "
+                            f"got {out!r}")
+    return out
 
 
 def _int(x, key) -> int:
@@ -116,7 +124,7 @@ def parse_valuation(obj) -> Valuation:
                         parse_rational(_field(obj, "t")))
     if kind == "divisorial":
         base = _parse_base(_field(obj, "base"))
-        steps = [_parse_step(s) for s in _field(obj, "steps", [])]
+        steps = [_parse_step(s) for s in _field(obj, "steps", [], kind=list)]
         nodes = [Node(parent=-1, base=base, step=None)]
         for k, st in enumerate(steps):
             nodes.append(Node(parent=k, base=None, step=st))
@@ -126,7 +134,8 @@ def parse_valuation(obj) -> Valuation:
         base = _parse_base(_field(obj, "base"))
         m = _int(_field(obj, "m"), "m")
         coeffs = {_int(k, "coefficients"): parse_rational(v)
-                  for k, v in _field(obj, "coefficients", {}).items()}
+                  for k, v in _field(obj, "coefficients", {},
+                                     kind=dict).items()}
         K = _int(_field(obj, "K", max(coeffs, default=0) + 1), "K")
         try:
             return curve_of_series(base, m, coeffs, K,
@@ -173,18 +182,51 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unsupported format {obj.get('format')!r}; "
                             f"expected {FORMAT}")
     sc = Scenario()
-    for name, spec in obj.get("valuations", {}).items():
+    for name, spec in _field(obj, "valuations", {}, kind=dict).items():
         sc.valuations[name] = parse_valuation(spec)
-    for name, text_p in obj.get("polynomials", {}).items():
+    for name, text_p in _field(obj, "polynomials", {}, kind=dict).items():
         if not isinstance(text_p, str):
             raise ScenarioError(f"polynomial {name!r} must be a string")
         try:
             sc.polynomials[name] = poly.parse(text_p)
-        except Exception as e:
-            raise ScenarioError(f"polynomial {name!r}: {e}") from e
-    sc.options = dict(obj.get("options", {}))
-    sc.algebraize = obj.get("algebraize")
+        except PolynomialSyntaxError as e:
+            raise ScenarioError(f"polynomial {name!r}: {e}") from None
+    sc.options = dict(_field(obj, "options", {}, kind=dict))
+    if "max_degree" in sc.options:
+        _int(sc.options["max_degree"], "max_degree")
+    sc.algebraize = _field(obj, "algebraize", None, kind=dict)
     return sc
+
+
+def parse_algebraize(spec: dict):
+    """(branches, points, max_degree) of an ``algebraize`` section.
+
+    A branch given by a polynomial stands for each of its branches at
+    infinity, all with the declared primes, radii and bounds.
+    """
+    def places(obj, key):
+        return {(ARCH if k == ARCH else _int(k, key)): parse_rational(r)
+                for k, r in _field(obj, key, {}, kind=dict).items()}
+
+    branches = []
+    for bs in _field(spec, "branches", [], kind=list):
+        text = _field(bs, "polynomial", None)
+        if text is not None:
+            curves = [Curve(b) for b in branches_at_infinity(poly.parse(text))]
+        else:
+            curves = [parse_valuation(_field(bs, "curve"))]
+        primes = tuple(_int(p, "primes")
+                       for p in _field(bs, "primes", [], kind=list))
+        branches += [AdelicBranch(curve=cv, primes=primes,
+                                  radius=places(bs, "radius"),
+                                  bound=places(bs, "bound"))
+                     for cv in curves]
+    points = []
+    for pt in _field(spec, "points", [], kind=list):
+        if not (isinstance(pt, list) and len(pt) == 2):
+            raise ScenarioError(f"a point must be a pair [x, y], got {pt!r}")
+        points.append((parse_rational(pt[0]), parse_rational(pt[1])))
+    return branches, points, _int(_field(spec, "max_degree", 6), "max_degree")
 
 
 def serialize_scenario(sc: Scenario) -> str:

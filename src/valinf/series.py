@@ -54,6 +54,15 @@ class TruncSeries2:
             raise TruncationUnderflow("truncation order below 1")
 
     @staticmethod
+    def unchecked(coeffs: dict, order) -> "TruncSeries2":
+        """A series from coefficients that are already nonzero Fractions
+        of total degree below ``order``; they are not checked again."""
+        out = object.__new__(TruncSeries2)
+        out.coeffs = coeffs
+        out.order = order
+        return out
+
+    @staticmethod
     def const(c) -> "TruncSeries2":
         return TruncSeries2({(0, 0): _q(c)})
 
@@ -138,7 +147,7 @@ class TruncSeries2:
                 raise ValueError("not divisible by u^m")
             out[(i - m, j)] = c
         order = None if self.order is None else max(self.order - m, 1)
-        return TruncSeries2(out, order)
+        return TruncSeries2.unchecked(out, order)
 
     def divide_v(self, m: int) -> "TruncSeries2":
         out = {}
@@ -147,7 +156,7 @@ class TruncSeries2:
                 raise ValueError("not divisible by v^m")
             out[(i, j - m)] = c
         order = None if self.order is None else max(self.order - m, 1)
-        return TruncSeries2(out, order)
+        return TruncSeries2.unchecked(out, order)
 
     def __eq__(self, other):
         return (isinstance(other, TruncSeries2)

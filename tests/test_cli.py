@@ -171,3 +171,51 @@ def test_bad_scenario_field_exits_2(tmp_path, capsys, doc, field):
     p.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "skewness", "-f", str(p))
     assert rc == 2 and err.startswith("error:") and field in err
+
+
+def _with(**sections):
+    return dict(SCENARIO, **sections)
+
+
+def _algebraize(**fields):
+    return {"format": 1,
+            "algebraize": dict(ALGEBRAIZE["algebraize"], **fields)}
+
+
+@pytest.mark.parametrize("doc, argv, field", [
+    ({"format": 1, "valuations": []}, ["skewness"], "'valuations'"),
+    ({"format": 1, "polynomials": ["x"]}, ["skewness"], "'polynomials'"),
+    (_with(options={"max_degree": "six"}), ["classify"], "'max_degree'"),
+    (_with(options={"max_degree": "six"}), ["find-positive", "m1"],
+     "'max_degree'"),
+    (_algebraize(max_degree="six"), ["algebraize"], "'max_degree'"),
+    (_algebraize(branches=[{"polynomial": "__import__('os')"}]),
+     ["algebraize"], "unexpected"),
+    (_algebraize(branches=[{"polynomial": 5}]), ["algebraize"], "string"),
+    (_algebraize(branches=[{"polynomial": "y^2-x^3", "primes": ["two"]}]),
+     ["algebraize"], "'primes'"),
+    (_algebraize(points=[["1"]]), ["algebraize"], "pair"),
+    (_algebraize(branches="y^2-x^3"), ["algebraize"], "'branches'"),
+], ids=["valuations-list", "polynomials-list", "classify-max-degree",
+        "find-positive-max-degree", "algebraize-max-degree",
+        "algebraize-code-as-polynomial", "algebraize-polynomial-not-string",
+        "algebraize-prime-not-integer", "algebraize-point-not-pair",
+        "algebraize-branches-not-list"])
+def test_bad_input_exits_2(tmp_path, capsys, doc, argv, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, argv[0], "-f", str(p), *argv[1:])
+    assert rc == 2 and err.startswith("error:") and field in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_successive_calls_share_no_state(scfile, capsys):
+    # the argument parser is built once per process; flags and
+    # subcommands of one call must not leak into the next
+    rc, out, _ = run(capsys, "classify", "-f", scfile, "--json",
+                     "--max-degree", "3", "m1", "m0")
+    assert rc == 0 and json.loads(out)["degree_bound"] == 3
+    rc, out, _ = run(capsys, "skewness", "-f", scfile, "m1")
+    assert rc == 0 and out.startswith("m1: alpha = ")
+    rc, out, _ = run(capsys, "classify", "-f", scfile, "--json", "m1", "m0")
+    assert rc == 0 and json.loads(out)["degree_bound"] == 6

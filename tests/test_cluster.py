@@ -1,13 +1,17 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from valinf.cluster import (Cluster, Free, LINF, Node, PointAtInfinity, SatU,
                             SatV, branch_steps, branch_to_nodes, chain_cluster,
-                            eval_divisorial, merge_paths, monomial_to_node)
+                            eval_divisorial, merge_paths, monomial_to_node,
+                            ord_along_path)
 from valinf.errors import InvalidCluster, RootValuation, ZeroPolynomial
+from valinf.randomized import random_cluster
 from valinf.series import PuiseuxSeries
 
 F = Fraction
@@ -162,6 +166,56 @@ def test_cluster_with_geometry_freed_without_gc():
     try:
         cl, _ = branch_to_nodes(PY, CUSP, 9)
         cl.geometry().minv()
+        ref = weakref.ref(cl)
+        del cl
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(polys, min_size=1, max_size=12))
+def test_memoized_ord_along_path_matches_fresh_cluster(seed, ps):
+    # one cluster answers every query, so later queries start from
+    # transforms memoized by earlier ones (and by evicted polynomials);
+    # each answer must equal the walk from the root on a fresh cluster
+    rng = random.Random(seed)
+    cl = random_cluster(rng, max_nodes=12, n_roots=rng.choice([1, 2]))
+    queries = [(k, P) for k in range(len(cl)) for P in ps]
+    rng.shuffle(queries)
+    for k, P in queries:
+        assert ord_along_path(cl, k, P) == \
+            ord_along_path(Cluster(cl.nodes), k, P)
+        assert len(cl._strict) <= Cluster.STRICT_MEMO_POLYS
+
+
+def test_strict_memo_evicts_the_oldest_polynomial(monkeypatch):
+    import valinf.cluster as cluster
+
+    cl, _ = branch_to_nodes(PY, CUSP, 9)
+    cl.geometry()
+    calls = []
+    step = cluster.step_transform
+    monkeypatch.setattr(cluster, "step_transform",
+                        lambda *a: calls.append(a) or step(*a))
+    ps = [{(0, 1): F(1), (k, 0): F(1)} for k in range(10)]
+    for P in ps:
+        eval_divisorial(cl, 8, P)
+    assert len(cl._strict) == Cluster.STRICT_MEMO_POLYS
+    assert len(calls) == 10 * 8
+    for P in ps[2:]:
+        eval_divisorial(cl, 8, P)
+    assert len(calls) == 10 * 8           # the last eight are all kept
+    eval_divisorial(cl, 8, ps[0])
+    assert len(calls) == 11 * 8           # the first was evicted
+    # the memo holds no reference back to its cluster
+    gc.disable()
+    try:
         ref = weakref.ref(cl)
         del cl
         assert ref() is None

@@ -1,15 +1,72 @@
-import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from valinf.exact import (Ext, IndeterminateForm, NEG_INF, POS_INF,
-                          SymMatrixExt, TPoly, chi_det, ext_sum,
-                          is_negative_definite, limit_at_neg_infinity,
-                          sign_at_neg_infinity, solve_linear, tpoly_det)
+                          SymMatrixExt, TPoly, chi_det, det, ext_sum,
+                          invert_matrix, is_negative_definite,
+                          limit_at_neg_infinity, sign_at_neg_infinity,
+                          solve_linear)
 
 F = Fraction
+derandomized = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+# ---------------------------------------------------------------------------
+# slow paths: the determinant and inverse that the Bareiss kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def tpoly_det(rows):
+    """Determinant of a square TPoly matrix by minor expansion, 2^n work."""
+    n = len(rows)
+    memo = {}
+
+    def minor(row, cols):
+        if row == n:
+            return TPoly.const(1)
+        if (row, cols) not in memo:
+            acc = TPoly()
+            for pos, col in enumerate(cols):
+                entry = rows[row][col]
+                if entry.is_zero():
+                    continue
+                term = entry * minor(row + 1, cols[:pos] + cols[pos + 1:])
+                acc = acc + (term if pos % 2 == 0 else -term)
+            memo[(row, cols)] = acc
+        return memo[(row, cols)]
+
+    return minor(0, tuple(range(n)))
+
+
+def tpoly_rows(M: SymMatrixExt, k):
+    u = TPoly.param()
+    return [[u if e.kind < 0 else TPoly.const(e.q) for e in row[:k]]
+            for row in M.entries[:k]]
+
+
+def gauss_jordan(A):
+    """(det, inverse or None) by Gauss-Jordan elimination over Fraction."""
+    n = len(A)
+    aug = [[F(e) for e in row] + [F(int(i == k)) for k in range(n)]
+           for i, row in enumerate(A)]
+    d = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return F(0), None
+        if pivot != c:
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+            d = -d
+        pv = aug[c][c]
+        d *= pv
+        aug[c] = [e / pv for e in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
+    return d, [row[n:] for row in aug]
 
 
 class TestExt:
@@ -138,16 +195,65 @@ class TestSolveLinear:
                 assert sum(a * b for a, b in zip(row, k)) == 0
 
 
-def test_tpoly_det_frees_its_minors_on_return():
-    # the memoized recursion is a reference cycle; its 2^n cached minors
-    # must not wait for the cyclic garbage collector
-    n = 7
-    rows = [[TPoly([Fraction(i + j + 1), Fraction(int(i == j))])
-             for j in range(n)] for i in range(n)]
-    gc.collect()
-    gc.disable()
-    try:
-        tpoly_det(rows)
-        assert gc.collect() < 2 ** n
-    finally:
-        gc.enable()
+entries = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
+                           F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def square_matrix(draw, max_n=8):
+    """A square rational matrix; one in three has a repeated row."""
+    n = draw(st.integers(1, max_n))
+    A = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        A[j] = [draw(st.sampled_from([1, -2, F(1, 3)])) * e for e in A[i]]
+    return A
+
+
+@st.composite
+def sym_ext_matrix(draw, max_n=8):
+    """A symmetric matrix over Ext with -inf on some of the diagonal and,
+    rarely, off it; one in three repeats a row and column."""
+    n = draw(st.integers(1, max_n))
+    M = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            M[i][j] = M[j][i] = draw(entries)
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        for k in range(n):
+            M[j][k] = M[k][j] = M[i][k]
+        M[j][j] = M[i][i]
+    for i in range(n):
+        if draw(st.integers(0, 2)) == 0:
+            M[i][i] = NEG_INF
+    if n > 1 and draw(st.integers(0, 7)) == 0:
+        i, j = draw(st.permutations(range(n)))[:2]
+        M[i][j] = M[j][i] = NEG_INF
+    return SymMatrixExt(M)
+
+
+@derandomized
+@given(square_matrix())
+def test_bareiss_matches_gauss_jordan(A):
+    d, inv = gauss_jordan(A)
+    assert det(A) == d
+    assert invert_matrix(A) == inv
+
+
+@derandomized
+@given(sym_ext_matrix())
+def test_chi_det_and_sylvester_match_minor_expansion(M):
+    n = M.size
+    minors = [tpoly_det(tpoly_rows(M, k)) for k in range(1, n + 1)]
+    assert [M.det_tpoly(k) for k in range(1, n + 1)] == minors
+    p = minors[-1]
+    assert chi_det(M) == limit_at_neg_infinity(-p if n % 2 else p)
+    assert is_negative_definite(M) == all(
+        sign_at_neg_infinity(q)[0] == (-1) ** k
+        for k, q in enumerate(minors, 1))
+
+
+def test_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        det([[1, 2]])

@@ -8,9 +8,9 @@ from valinf.cluster import PointAtInfinity
 from valinf.errors import InternalMismatch, NeedsFieldExtension, ZeroOrConstant
 from valinf.exact import Ext, NEG_INF, POS_INF
 from valinf.potential import EdgePoint, point_skewness
-from valinf.puiseux import (branches_at_infinity, divisorial_on_segment,
-                            log_laplacian, log_value, logplus_laplacian,
-                            weighted_branches)
+from valinf.puiseux import (_tail_coeffs, branches_at_infinity,
+                            divisorial_on_segment, log_laplacian, log_value,
+                            logplus_laplacian, weighted_branches)
 from valinf.valuations import (Comparison, Curve, Divisorial, Monomial, ROOT,
                                compare, evaluate, meet, skewness)
 
@@ -249,3 +249,70 @@ class TestDivisorialOnSegment:
         d = divisorial_on_segment(b, F(0))
         (p, _), = logplus_laplacian(poly.parse("y^2-x^3")).atoms
         assert compare(d, p) == Comparison.EQ
+
+
+def poly_u_coeff(G, s, k_max):
+    """Coefficients of G(u, s(u)) as a univariate dict, exact up to u^k_max."""
+    jmax = max(j for _, j in G)
+    pows = {0: {0: F(1)}}
+    for j in range(1, jmax + 1):
+        cur = {}
+        for e1, c1 in pows[j - 1].items():
+            for e2, c2 in s.items():
+                if e1 + e2 <= k_max:
+                    cur[e1 + e2] = cur.get(e1 + e2, F(0)) + c1 * c2
+        pows[j] = cur
+    out = {}
+    for (i, j), c in G.items():
+        for e, cs in pows[j].items():
+            if i + e <= k_max:
+                out[i + e] = out.get(i + e, F(0)) + c * cs
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def tail_coeffs_by_resubstitution(G, K):
+    """The old tail solver: re-substitute the whole series for every k."""
+    g01 = G[(0, 1)]
+    s = {}
+    for k in range(1, K + 1):
+        r = poly_u_coeff(G, s, k).get(k, F(0))
+        if r:
+            s[k] = -r / g01
+    return s, not poly_u_coeff(G, s, 1 << 30)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                       st.builds(F, st.integers(-5, 5).filter(bool),
+                                 st.integers(1, 3)), max_size=8),
+       st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 2)),
+       st.integers(1, 24))
+def test_online_tail_matches_resubstitution(G, g01, K):
+    G = {k: c for k, c in G.items() if k != (0, 0)}
+    G[(0, 1)] = g01
+    assert _tail_coeffs(G, K) == tail_coeffs_by_resubstitution(G, K)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(1, 6), st.integers(-3, 3).filter(bool),
+                       min_size=1, max_size=4),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(-3, 3), max_size=5),
+       st.integers(1, 12))
+def test_online_tail_certifies_terminating_roots(p, H, K):
+    # G = (v - p(u)) (1 + H): the root is the polynomial p, exact iff
+    # its degree is at most K
+    G = poly.mul({(0, 1): F(1), **{(e, 0): F(-c) for e, c in p.items()}},
+                 poly.add({(0, 0): F(1)}, {k: F(c) for k, c in H.items()
+                                           if k != (0, 0)}))
+    coeffs, exact = _tail_coeffs(G, K)
+    assert (coeffs, exact) == tail_coeffs_by_resubstitution(G, K)
+    assert exact == (max(p) <= K)
+    if exact:
+        assert coeffs == {e: F(c) for e, c in p.items()}
+
+
+def test_branch_lists_are_shared_tuples():
+    Q = poly.parse("x*y-1")
+    first = weighted_branches(Q)
+    assert isinstance(first, tuple) and weighted_branches(Q) is first
