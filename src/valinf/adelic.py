@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import poly
 from .errors import (DomainError, InsufficientTruncation, Undecidable,
                      WitnessNotFound)
+from .exact import rational_root
 from .valuations import Curve, equal
 
 ARCH = "inf"
@@ -49,26 +50,6 @@ def abs_value(q, place) -> Fraction:
     return Fraction(1, p) ** o
 
 
-def _rational_nth_roots(q: Fraction, m: int):
-    """All rational tau with tau^m = q."""
-    from sympy import integer_nthroot
-
-    q = Fraction(q)
-    if q == 0:
-        return [Fraction(0)]
-    if m == 1:
-        return [q]
-    if q < 0 and m % 2 == 0:
-        return []
-    sign = -1 if q < 0 else 1
-    rn, okn = integer_nthroot(abs(q.numerator), m)
-    rd, okd = integer_nthroot(q.denominator, m)
-    if not (okn and okd):
-        return []
-    r = Fraction(sign * rn, rd) if m % 2 else Fraction(rn, rd)
-    return [r, -r] if m % 2 == 0 else [r]
-
-
 def chart_coordinates(point, base):
     """(u, v) local coordinates at a point of the line at infinity."""
     x, y = Fraction(point[0]), Fraction(point[1])
@@ -97,7 +78,8 @@ def branch_membership(point, branch, place, radius) -> bool:
     if not abs_value(u0, place) < gate:
         return False
     s = branch.series
-    for tau in _rational_nth_roots(u0, s.m):
+    r = rational_root(u0, s.m)
+    for tau in [] if r is None else [r, -r] if s.m % 2 == 0 else [r]:
         approx = sum((Fraction(c) * tau ** j for j, c in s.coeffs),
                      Fraction(0))
         diff = v0 - approx

@@ -1,6 +1,16 @@
 """Command line interface: scenario files in, reports out.
 
-Exit codes: 0 success, 1 internal error, 2 domain or input error.
+Exit codes, one per family of ``valinf.errors``; a failure prints one
+``error: ...`` line (``internal error: <Type>: ...`` for code 1):
+
+- 0, success;
+- 1, internal error: ``InternalMismatch``, ``IndeterminateForm``, any
+  other exception, and an ``oracle-check`` that finds a failure;
+- 2, bad input: ``DomainError`` (``ScenarioError`` included) or a
+  scenario file that cannot be read;
+- 3, undecided at this truncation, precision or cap: ``Undecided``
+  (``InsufficientTruncation``, ``TruncationUnderflow``, ``Undecidable``,
+  ``PrecisionExceeded``).
 """
 
 from __future__ import annotations
@@ -9,14 +19,13 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import poly
 from .adelic import algebraize
-from .errors import DomainError
+from .errors import DomainError, ScenarioError, Undecided
 from .exact import Ext
 from .potential import EdgePoint, point_skewness
-from .scenario import (Scenario, ScenarioError, format_ext, format_rational,
+from .scenario import (Scenario, format_ext, format_rational,
                        format_valuation, load_scenario, parse_algebraize)
 from .valuations import (Curve, Divisorial, Monomial, Root, evaluate, meet,
                          skewness, thinness)
@@ -54,6 +63,9 @@ def _need(sc: Scenario, kind: str, name: str):
 
 def _selected(sc: Scenario, names):
     if names:
+        for k, n in enumerate(names):
+            if n in names[:k]:
+                raise ScenarioError(f"valuation {n!r} is named twice")
         return [(n, _need(sc, "valuation", n)) for n in names]
     return sorted(sc.valuations.items())
 
@@ -309,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--max-degree", type=int, default=None)
-    common.add_argument("--precision-cap", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--count", type=int, default=None)
 
@@ -345,12 +356,15 @@ def main(argv=None) -> int:
                 raise ScenarioError(f"{args.command} requires -f <scenario>")
             sc = load_scenario(args.file)
         return COMMANDS[args.command](args, sc)
-    except DomainError as e:
+    except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
+    except Undecided as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 3
+    except Exception as e:      # the boundary: one line, never a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

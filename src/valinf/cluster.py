@@ -21,17 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import (InvalidCluster, InternalMismatch, RootValuation,
-                     ZeroPolynomial)
-from .exact import invert_matrix
-from .series import (InsufficientTruncation, LaurentSeries, PuiseuxSeries,
-                     TruncSeries2)
+from .errors import (InsufficientTruncation, InvalidCluster,
+                     InternalMismatch, RootValuation, ZeroPolynomial)
+from .exact import _q, invert_matrix
+from .series import LaurentSeries, PuiseuxSeries, TruncSeries2
 
 LINF = "linf"
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,9 +157,6 @@ class Cluster:
             out.append(i)
             i = self.nodes[i].parent
         return out[::-1]
-
-    def base_of(self, i: int) -> PointAtInfinity:
-        return self.nodes[self.path(i)[0]].base
 
     def key(self, i: int):
         """Canonical identity of the point blown up at node i."""
@@ -508,15 +500,24 @@ def eval_divisorial(cl: Cluster, node: int, P: dict) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+# longest weight chain built: (1, 10^400) would fill memory for ever
+MAX_CHAIN_STEPS = 1024
+
+
 def weight_chain_steps(a: int, b: int):
     """Center steps of the toric chain for coprime positive weights (a, b).
 
     (a, b) are the orders of the target divisor on the local coordinates
-    (u, v) of the base point.
+    (u, v) of the base point.  A chain longer than ``MAX_CHAIN_STEPS``
+    raises InvalidCluster.
     """
+    weights = (a, b)
     steps = []
     v_present = False
     while a != b:
+        if len(steps) == MAX_CHAIN_STEPS:
+            raise InvalidCluster(f"local weights {weights} need more than "
+                                 f"{MAX_CHAIN_STEPS} blowups")
         if a > b:
             steps.append(SatU())
             a -= b
@@ -525,6 +526,13 @@ def weight_chain_steps(a: int, b: int):
             steps.append(SatV() if v_present else Free(Fraction(0)))
             b -= a
     return steps
+
+
+def weight_chain(base: PointAtInfinity, a: int, b: int) -> Cluster:
+    """Chain cluster ending at the divisor with positive local weights
+    (a, b) at ``base``, after dividing out their gcd."""
+    g = gcd(a, b)
+    return chain_cluster(base, weight_chain_steps(a // g, b // g))
 
 
 def monomial_to_node(s, t):
@@ -543,12 +551,8 @@ def monomial_to_node(s, t):
     else:
         base = PointAtInfinity("y")
         w = s + 1
-    # local weights (1, w); scale to coprime integers
-    a, b = w.denominator, w.numerator
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    steps = weight_chain_steps(a, b)
-    cl = chain_cluster(base, steps)
+    # local weights (1, w), scaled to integers
+    cl = weight_chain(base, w.denominator, w.numerator)
     return cl, len(cl) - 1
 
 

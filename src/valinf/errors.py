@@ -1,19 +1,59 @@
-"""Shared domain exceptions."""
+"""Every exception that valinf raises, in three families.
 
-from .exact import IndeterminateForm  # re-export
-from .series import InsufficientTruncation, TruncationUnderflow  # re-export
+Each family has one CLI exit code:
+
+- 2, bad input: ``DomainError`` and its subclasses ``InvalidCluster``,
+  ``ZeroPolynomial``, ``PolynomialSyntaxError``, ``RootValuation``,
+  ``NeedsFieldExtension``, ``ZeroOrConstant``, ``PreconditionViolated``,
+  ``SkewnessTooHigh``, ``SingularSystem``, ``KernelDimensionNotOne``,
+  ``NonPositiveKernel``, ``WitnessNotFound``, ``ScenarioError``;
+- 3, undecided at this truncation, precision or cap: ``Undecided`` and
+  its subclasses ``InsufficientTruncation``, ``TruncationUnderflow``,
+  ``Undecidable``, ``PrecisionExceeded``, which are siblings, so that
+  catching one never catches another;
+- 1, internal error: ``InternalMismatch`` (an ``AssertionError``),
+  ``IndeterminateForm`` (an ``ArithmeticError``) and any other exception.
+
+This module imports no other valinf module, so every layer can import it.
+"""
 
 
 class DomainError(Exception):
     """Base class for input-level errors (CLI exit code 2)."""
 
 
-class InvalidCluster(DomainError):
-    pass
+class Undecided(Exception):
+    """Base class for answers left open at a truncation or a cap (CLI
+    exit code 3)."""
 
 
 class InternalMismatch(AssertionError):
     """Two independent computations of the same quantity disagreed."""
+
+
+class IndeterminateForm(ArithmeticError):
+    """Raised on (+inf) + (-inf), 0 * inf and similar."""
+
+
+class InsufficientTruncation(Undecided):
+    """A series-backed quantity could not be certified at the stored order."""
+
+
+class TruncationUnderflow(Undecided, ArithmeticError):
+    """A truncation order fell below 1, or a truncated series was
+    translated."""
+
+
+class Undecidable(Undecided):
+    pass
+
+
+class PrecisionExceeded(Undecided):
+    pass
+
+
+class InvalidCluster(DomainError):
+    pass
 
 
 class ZeroPolynomial(DomainError):
@@ -24,16 +64,8 @@ class PolynomialSyntaxError(DomainError):
     """Polynomial text outside the grammar of ``poly.parse``."""
 
 
-class PrecisionExceeded(DomainError):
-    pass
-
-
 class RootValuation(DomainError):
     """The requested construction degenerates to -deg."""
-
-
-class NotDivisorial(DomainError):
-    pass
 
 
 class NeedsFieldExtension(DomainError):
@@ -70,16 +102,16 @@ class WitnessNotFound(DomainError):
     pass
 
 
-class Undecidable(DomainError):
-    pass
+class ScenarioError(DomainError):
+    """A scenario file or a CLI argument that names into it is malformed."""
 
 
 __all__ = [
-    "DomainError", "InvalidCluster", "InternalMismatch", "ZeroPolynomial",
-    "PolynomialSyntaxError",
-    "PrecisionExceeded", "RootValuation", "NotDivisorial",
+    "DomainError", "Undecided", "InvalidCluster", "InternalMismatch",
+    "ZeroPolynomial", "PolynomialSyntaxError",
+    "PrecisionExceeded", "RootValuation",
     "NeedsFieldExtension", "ZeroOrConstant", "PreconditionViolated",
     "SkewnessTooHigh", "SingularSystem", "KernelDimensionNotOne",
-    "NonPositiveKernel", "WitnessNotFound", "Undecidable",
+    "NonPositiveKernel", "WitnessNotFound", "Undecidable", "ScenarioError",
     "InsufficientTruncation", "TruncationUnderflow", "IndeterminateForm",
 ]

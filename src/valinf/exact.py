@@ -14,9 +14,29 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
 
+from .errors import IndeterminateForm
 
-class IndeterminateForm(ArithmeticError):
-    """Raised on (+inf) + (-inf), 0 * inf and similar."""
+
+def _q(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def rational_root(q: Fraction, m: int):
+    """The rational r with r^m = q, r > 0 for even m, or None if none.
+
+    For even m, -r is the other rational root.
+    """
+    from sympy import integer_nthroot
+
+    if m == 1:
+        return q
+    if q < 0 and m % 2 == 0:
+        return None
+    rn, okn = integer_nthroot(abs(q.numerator), m)
+    rd, okd = integer_nthroot(q.denominator, m)
+    if not (okn and okd):
+        return None
+    return Fraction(-int(rn) if q < 0 else int(rn), int(rd))
 
 
 def _as_fraction(x) -> Fraction:

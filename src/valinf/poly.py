@@ -6,10 +6,7 @@ import re
 from fractions import Fraction
 
 from .errors import PolynomialSyntaxError, ZeroPolynomial
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .exact import _q
 
 
 def normalize(P: dict) -> dict:
@@ -101,6 +98,17 @@ def to_string(P: dict) -> str:
 
 _TOKEN = re.compile(r"\s*(\d+|\*\*|[-+*/^()xy])")
 
+# P^e is refused before any expansion when e * max(deg P, 1) exceeds
+# this: (x+y+1)^160 has 13,041 terms and 9^3000000 has 2.9 million digits
+MAX_POWER_DEGREE = 64
+
+
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:      # more digits than sys.get_int_max_str_digits()
+        raise PolynomialSyntaxError(f"integer of {len(tok)} digits") from None
+
 
 def parse(text: str) -> dict:
     """Parse a polynomial in x, y with rational coefficients.
@@ -112,7 +120,8 @@ def parse(text: str) -> dict:
         factor := ("+" | "-") factor | atom [("^" | "**") integer]
         atom   := integer | "x" | "y" | "(" expr ")"
 
-    A divisor must be a nonzero constant.  Any other text raises
+    A divisor must be a nonzero constant, and in P^e the exponent times
+    max(deg P, 1) is at most ``MAX_POWER_DEGREE``.  Any other text raises
     PolynomialSyntaxError; nothing in it is evaluated as code.
     """
     if not isinstance(text, str):
@@ -166,7 +175,12 @@ def parse(text: str) -> dict:
         if e is None or not e.isdigit():
             raise PolynomialSyntaxError(
                 "an exponent must be a non-negative integer")
-        return power(base, int(e))
+        e = _integer(e)
+        if max(max((i + j for i, j in base), default=0), 1) * e \
+                > MAX_POWER_DEGREE:
+            raise PolynomialSyntaxError(
+                f"power of degree above {MAX_POWER_DEGREE} (exponent {e})")
+        return power(base, e)
 
     def atom():
         tok = take()
@@ -178,7 +192,7 @@ def parse(text: str) -> dict:
         if tok == "x" or tok == "y":
             return {(1, 0) if tok == "x" else (0, 1): Fraction(1)}
         if tok is not None and tok.isdigit():
-            return normalize({(0, 0): int(tok)})
+            return normalize({(0, 0): _integer(tok)})
         raise PolynomialSyntaxError(
             f"unexpected {'end' if tok is None else repr(tok)}")
 

@@ -17,6 +17,7 @@ from . import poly
 from .cluster import base_strict_series, blowup_substitute
 from .errors import InsufficientTruncation, InternalMismatch
 from .exact import Ext, solve_linear
+from .series import LaurentSeries, powers
 from .valuations import (Curve, Divisorial, Monomial, Root, Valuation,
                          branch_xy_series, evaluate)
 
@@ -35,11 +36,6 @@ class ConstraintSystem:
 
     monomials: list
     rows: list
-
-    def stack(self, other: "ConstraintSystem") -> "ConstraintSystem":
-        if self.monomials != other.monomials:
-            raise ValueError("mismatched unknowns")
-        return ConstraintSystem(self.monomials, self.rows + other.rows)
 
 
 def _kill(monomials, idx) -> list:
@@ -100,22 +96,13 @@ def _divisorial_rows(v: Divisorial, monomials, d: int, strict: bool) -> list:
 
 
 def _curve_rows(v: Curve, monomials, strict: bool) -> list:
-    from .series import LaurentSeries
-
     x, y, b = branch_xy_series(v.branch)
     one = LaurentSeries.monomial(0, 1)
-    xp = {0: one}
-    yp = {0: one}
-
-    def power(base, k, cache):
-        if k not in cache:
-            cache[k] = power(base, k - 1, cache) * base
-        return cache[k]
-
+    xpow, ypow = powers(x, one), powers(y, one)
     bound = 0 if strict else -1
     cols = {}
     for idx, (i, j) in enumerate(monomials):
-        s = power(x, i, xp) * power(y, j, yp)
+        s = xpow(i) * ypow(j)
         if s.prec is not None and s.prec <= bound:
             raise InsufficientTruncation(
                 "branch truncation too short for these degrees")

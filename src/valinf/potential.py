@@ -15,12 +15,8 @@ from fractions import Fraction
 
 from .errors import (IndeterminateForm, InternalMismatch, PreconditionViolated,
                      SkewnessTooHigh)
-from .exact import Ext, NEG_INF, ext_sum
+from .exact import Ext, NEG_INF, _q, ext_sum
 from .valuations import ROOT, Root, Valuation, equal, meet, skewness
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------

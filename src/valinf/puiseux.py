@@ -17,14 +17,10 @@ from .cluster import (PointAtInfinity, PuiseuxBranch, base_strict_series,
                       branch_steps, eval_divisorial, merge_paths, LINF)
 from .errors import (InternalMismatch, NeedsFieldExtension,
                      PreconditionViolated, PrecisionExceeded, ZeroOrConstant)
-from .exact import Ext, ext_sum
+from .exact import Ext, _q, ext_sum, rational_root
 from .potential import DiscreteMeasure, EdgePoint, measure, point_green
-from .series import LaurentSeries, PuiseuxSeries
+from .series import PuiseuxSeries
 from .valuations import Curve, Divisorial, meet, skewness
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -104,26 +100,6 @@ def _lower_edges(G: dict):
     return edges
 
 
-def _rational_root_of(t0: Fraction, p: int):
-    """The rational c with c^p = t0 and, for even p, c > 0; None if absent.
-
-    For even p the conjugate -c yields the same branch orbit, so one
-    representative is enough; for odd p the sign of t0 fixes c.
-    """
-    import sympy
-
-    if p == 1:
-        return t0
-    if t0 < 0 and p % 2 == 0:
-        return None
-    sign = -1 if t0 < 0 else 1
-    rn, okn = sympy.integer_nthroot(abs(t0.numerator), p)
-    rd, okd = sympy.integer_nthroot(t0.denominator, p)
-    if not (okn and okd):
-        return None
-    return Fraction(sign * int(rn), int(rd))
-
-
 def _univariate(coeffs: dict):
     """sympy.Poly in t over QQ with the coefficients {exponent: c}."""
     import sympy
@@ -157,7 +133,7 @@ def _char_roots(G: dict, on_edge, p: int, jmin: int):
         t0 = Fraction(int(r.p), int(r.q))
         if t0 == 0:
             continue
-        c = _rational_root_of(t0, p)
+        c = rational_root(t0, p)
         if c is None:
             raise NeedsFieldExtension(
                 f"branch coefficient c with c^{p} = {t0} is irrational",

@@ -12,18 +12,14 @@ from fractions import Fraction
 
 from . import poly
 from .adelic import ARCH, AdelicBranch
-from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV)
-from .errors import DomainError, PolynomialSyntaxError
+from .cluster import Free, PointAtInfinity, SatU, SatV, chain_cluster
+from .errors import PolynomialSyntaxError, ScenarioError
 from .exact import Ext, NEG_INF, POS_INF
 from .puiseux import branches_at_infinity
 from .valuations import (Curve, Divisorial, Monomial, ROOT, Root, Valuation,
                          curve_of_series)
 
 FORMAT = 1
-
-
-class ScenarioError(DomainError):
-    pass
 
 
 def parse_rational(s) -> Fraction:
@@ -125,10 +121,7 @@ def parse_valuation(obj) -> Valuation:
     if kind == "divisorial":
         base = _parse_base(_field(obj, "base"))
         steps = [_parse_step(s) for s in _field(obj, "steps", [], kind=list)]
-        nodes = [Node(parent=-1, base=base, step=None)]
-        for k, st in enumerate(steps):
-            nodes.append(Node(parent=k, base=None, step=st))
-        cl = Cluster(nodes)
+        cl = chain_cluster(base, steps)
         return Divisorial(cl, len(cl) - 1)
     if kind == "curve":
         base = _parse_base(_field(obj, "base"))

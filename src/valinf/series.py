@@ -8,21 +8,24 @@ with integer (possibly negative) exponents and a precision bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-
-class TruncationUnderflow(ArithmeticError):
-    pass
-
-
-class InsufficientTruncation(Exception):
-    """A series-backed quantity could not be certified at the stored order."""
+from .errors import InsufficientTruncation, TruncationUnderflow
+from .exact import _q
 
 
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def powers(base, one):
+    """k -> base^k, each power computed once as base^(k-1) * base."""
+    table = [one]
+
+    def power(k: int):
+        while len(table) <= k:
+            table.append(table[-1] * base)
+        return table[k]
+
+    return power
 
 
 def _min_order(a, b):
@@ -192,19 +195,12 @@ def compose_series(f: TruncSeries2, sub_u: TruncSeries2,
             so = 1
         order = _min_order(order * so, _min_order(sub_u.order, sub_v.order))
 
-    # Horner in v, then in u, on the sorted support
+    # sum of c * sub_u^i * sub_v^j, each power built once
     out = TruncSeries2({}, order)
-    upows = {0: TruncSeries2.const(1)}
-    vpows = {0: TruncSeries2.const(1)}
-
-    def power(base: TruncSeries2, k: int, cache) -> TruncSeries2:
-        if k not in cache:
-            cache[k] = power(base, k - 1, cache) * base
-        return cache[k]
-
+    upow = powers(sub_u, TruncSeries2.const(1))
+    vpow = powers(sub_v, TruncSeries2.const(1))
     for (i, j), c in f.coeffs.items():
-        term = power(sub_u, i, upows) * power(sub_v, j, vpows)
-        out = out + term.scale(c)
+        out = out + (upow(i) * vpow(j)).scale(c)
     if order is not None:
         out = out.truncate(order)
     return out

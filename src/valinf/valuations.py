@@ -15,14 +15,11 @@ from fractions import Fraction
 from . import poly
 from .cluster import (Cluster, PuiseuxBranch, PointAtInfinity, branch_steps,
                       diverging_steps,
-                      eval_divisorial, merge_paths, monomial_to_node, LINF)
+                      eval_divisorial, merge_paths, monomial_to_node,
+                      weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
-from .exact import Ext, NEG_INF, POS_INF, ext_min
-from .series import LaurentSeries, PuiseuxSeries
-
-
-def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
+from .series import LaurentSeries, PuiseuxSeries, powers
 
 
 class Valuation:
@@ -148,18 +145,11 @@ def _minpoly_divides(minpoly: tuple, P: dict) -> bool:
 def curve_evaluate(branch: PuiseuxBranch, P: dict) -> Ext:
     P = poly.require_nonzero(P)
     x, y, b = branch_xy_series(branch)
-    d = poly.degree(P)
-    xp = {0: LaurentSeries.monomial(0, 1)}
-    yp = {0: LaurentSeries.monomial(0, 1)}
-
-    def power(base, k, cache):
-        if k not in cache:
-            cache[k] = power(base, k - 1, cache) * base
-        return cache[k]
-
+    xpow = powers(x, LaurentSeries.monomial(0, 1))
+    ypow = powers(y, LaurentSeries.monomial(0, 1))
     acc = LaurentSeries.zero()
     for (i, j), c in P.items():
-        acc = acc + (power(x, i, xp) * power(y, j, yp)).scale(c)
+        acc = acc + (xpow(i) * ypow(j)).scale(c)
     if acc.is_zero_known():
         if acc.prec is None:
             return POS_INF
@@ -323,13 +313,7 @@ def quasimonomial(base: PointAtInfinity, a: int, b: int) -> Divisorial:
     Its skewness is 1 - b/a.  Generalizes monomial_to_node to base points
     other than the two coordinate points of L-infinity.
     """
-    from math import gcd
-
-    from .cluster import chain_cluster, weight_chain_steps
-
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    cl = chain_cluster(base, weight_chain_steps(a, b))
+    cl = weight_chain(base, a, b)
     return Divisorial(cl, len(cl) - 1)
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from valinf import cli
 from valinf.cli import main
 
 SCENARIO = {
@@ -219,3 +224,105 @@ def test_successive_calls_share_no_state(scfile, capsys):
     assert rc == 0 and out.startswith("m1: alpha = ")
     rc, out, _ = run(capsys, "classify", "-f", scfile, "--json", "m1", "m0")
     assert rc == 0 and json.loads(out)["degree_bound"] == 6
+
+
+def test_duplicate_name_exits_2(scfile, capsys):
+    rc, out, err = run(capsys, "classify", "-f", scfile, "m1", "m1")
+    assert rc == 2 and err.startswith("error:") and "'m1'" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_undecided_exits_3(tmp_path, capsys):
+    # c1 cut at K = 4: Q = y^2 - x^3 vanishes on it to the stored order
+    c1 = dict(SCENARIO["valuations"]["c1"], exact=False)
+    p = tmp_path / "truncated.json"
+    p.write_text(json.dumps(_with(valuations={"c1": c1})))
+    rc, out, err = run(capsys, "eval", "-f", str(p), "c1", "Q")
+    assert rc == 3 and err.startswith("error:") and "certified" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_internal_error_exits_1(scfile, capsys, monkeypatch):
+    def broken(args, sc):
+        raise RuntimeError("broken invariant")
+
+    monkeypatch.setitem(cli.COMMANDS, "skewness", broken)
+    rc, out, err = run(capsys, "skewness", "-f", scfile)
+    assert rc == 1 and out == ""
+    assert err == "internal error: RuntimeError: broken invariant\n"
+
+
+# scenario mutations: the fuzz base adds a divisorial so that steps are
+# mutated too
+FUZZ_BASE = _with(valuations=dict(SCENARIO["valuations"], d1={
+    "kind": "divisorial", "base": {"chart": "x", "c": "1"},
+    "steps": [{"type": "free", "c": "2"}, {"type": "satellite-u"}]}))
+RETYPED = [None, True, 0, -1, 7, 1.5, "abc", [], {}]
+# "1e400" is a rational, but v_{-1,1e400} asks for 10^400 blowups
+BAD_RATIONALS = ["1/0", "", "2/3/4", "0x10", "1e400"]
+BAD_STEPS = [{"type": "bogus"}, {"type": "satellite-v"},
+             {"type": "free", "c": "0"}, {"type": "free", "c": [1]}, {}]
+BAD_POLYNOMIALS = ["x^", "x/y", "0", "x^65", "(x+y+1)^160",
+                   "__import__('os')", "9" * 5000]
+FUZZ_COMMANDS = [["skewness"], ["thinness"], ["eval", "c1", "Q"],
+                 ["eval", "d1", "H"], ["eval", "m1", "Q"], ["meet", "d1", "c1"],
+                 ["meet", "m1", "d1"], ["chi", "m1", "d1", "root"],
+                 ["chi", "c1", "m0"]]
+
+
+def _leaves(doc, path=()):
+    """Every (path, value) inside a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for k, v in items:
+        yield path + (k,), v
+        if isinstance(v, (dict, list)):
+            yield from _leaves(v, path + (k,))
+
+
+def _targets(doc, kind):
+    """The paths where a mutation of this kind applies."""
+    paths = [p for p, _ in _leaves(doc)]
+    if kind == "rational":
+        return [p for p in paths
+                if p[-1] in ("s", "t", "c") or p[-2:-1] == ("coefficients",)]
+    if kind == "step":
+        return [p for p in paths if p[-2:-1] == ("steps",)]
+    if kind == "polynomial":
+        return [p for p in paths if len(p) == 2 and p[0] == "polynomials"]
+    return paths
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = copy.deepcopy(FUZZ_BASE)
+    swaps = {"retype": RETYPED, "rational": BAD_RATIONALS,
+             "step": BAD_STEPS, "polynomial": BAD_POLYNOMIALS}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", *swaps]))
+        paths = _targets(doc, kind)
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        owner = doc
+        for k in path[:-1]:
+            owner = owner[k]
+        if kind == "drop":
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = copy.deepcopy(draw(st.sampled_from(swaps[kind])))
+    return doc
+
+
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(doc=mutated_scenarios(), argv=st.sampled_from(FUZZ_COMMANDS))
+def test_mutated_scenario_exits_with_a_documented_code(tmp_path, doc, argv):
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([argv[0], "-f", str(p), *argv[1:]])
+    assert rc in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

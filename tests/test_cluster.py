@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valinf.cluster import (Cluster, Free, LINF, Node, PointAtInfinity, SatU,
-                            SatV, branch_steps, branch_to_nodes, chain_cluster,
+from valinf.cluster import (MAX_CHAIN_STEPS, Cluster, Free, LINF, Node,
+                            PointAtInfinity, SatU, SatV, branch_steps,
+                            branch_to_nodes, chain_cluster,
                             eval_divisorial, merge_paths, monomial_to_node,
                             ord_along_path)
 from valinf.errors import InvalidCluster, RootValuation, ZeroPolynomial
@@ -84,6 +85,19 @@ def test_monomial_to_node_fractional_weights():
     # t = -1/2 sits above the root, alpha = 1/2
     cl, node = monomial_to_node(F(-1), F(-1, 2))
     assert cl.geometry().alpha[node] == F(1, 2)
+
+
+def test_weight_chain_length_is_capped():
+    # v_{-1,t} for integer t has local weights (1, t + 1): t blowups
+    cl, node = monomial_to_node(F(-1), F(MAX_CHAIN_STEPS))
+    assert len(cl) == MAX_CHAIN_STEPS + 1
+    with pytest.raises(InvalidCluster, match="blowups"):
+        monomial_to_node(F(-1), F(MAX_CHAIN_STEPS + 1))
+    # a chain of 10^400 blowups is refused before it is built
+    with pytest.raises(InvalidCluster, match="blowups"):
+        monomial_to_node(F(-1), F(10) ** 400)
+    with pytest.raises(InvalidCluster, match="blowups"):
+        monomial_to_node(F(-1), F(1, 10 ** 400))
 
 
 CUSP = PuiseuxSeries.make(3, {1: 1}, 3, exact=True)  # x_q = y_q^3 at [0:1:0]

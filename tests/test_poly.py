@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -106,12 +107,22 @@ def test_to_string_round_trip(P):
     "__import__('sys').stdout.write('EVALUATED ') and x",
     "x^y", "x/y", "x+", "x/0", "2x", "x^-1", "1.5*x", "(x", "x)", "2^3^2",
     "z", "", "(" * 5000 + "x" + ")" * 5000, 7,
+    "x^65", "(x*y)^33", "9^3000000", "9" * 5000, "x^" + "1" * 5000,
 ])
 def test_parse_rejects(text, capsys):
     with pytest.raises(PolynomialSyntaxError):
         poly.parse(text)
     assert issubclass(PolynomialSyntaxError, DomainError)
     assert capsys.readouterr().out == ""
+
+
+def test_power_degree_cap():
+    assert poly.parse("x^64") == {(64, 0): 1}
+    assert poly.parse("(x*y)^32 + 2^64") == {(32, 32): 1, (0, 0): 2 ** 64}
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError, match="degree above 64"):
+        poly.parse("(x+y+1)^160")
+    assert time.perf_counter() - start < 0.5
 
 
 factor_pool = st.sampled_from([
