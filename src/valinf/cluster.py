@@ -582,33 +582,104 @@ def _branch_state(series: PuiseuxSeries):
     return (LaurentSeries.monomial(series.m), series.tau_series(), False)
 
 
-def _branch_steps_once(series: PuiseuxSeries, depth: int, work: int):
-    state = _branch_state(series)
-    steps = []
-    for _ in range(depth - 1):
-        step, state = _center_step(state, work)
-        steps.append(step)
-    return steps
+def _doubling(work: int, cap: int) -> tuple:
+    """Working precisions tried for an exact series: ``work``, doubled
+    after each failure, up to the first one past ``cap``, which is the
+    last."""
+    works = [work]
+    while works[-1] <= cap:
+        works.append(2 * works[-1])
+    return tuple(works)
+
+
+def _branch_works(series: PuiseuxSeries, depth: int) -> tuple:
+    top = max((j for j, _ in series.coeffs), default=1)
+    return _doubling(4 * (series.m * (depth + 2) + top + 8), 1 << 16)
+
+
+# the working precisions of diverging_steps; the last also bounds its depth
+DIVERGING_WORKS = _doubling(256, 1 << 17)
+
+
+class BranchWalk:
+    """The sequence of centers of one branch, walked once and resumed.
+
+    It holds the steps certified so far and the live state after them, so
+    a deeper request continues where the last one stopped.  A certified
+    step is the branch's true center at any precision.  A truncated
+    series takes its precision from its own truncation, so continuing
+    gives exactly the steps and the error of a walk from the root.  An
+    exact series is walked at a working precision (the terms kept when a
+    series is inverted): the walk continues at the current one, and when
+    a step cannot be certified there it is redone from the root on the
+    caller's schedule of precisions, doubling up to a cap, so it raises
+    exactly where a walk from the root on that schedule raises.
+    """
+
+    __slots__ = ("series", "_steps", "_state", "_work")
+
+    def __init__(self, series: PuiseuxSeries):
+        self.series = series
+        self._steps = []
+        self._state = _branch_state(series)
+        self._work = None
+
+    def steps(self, depth: int, works=None) -> list:
+        """Steps of the first ``depth`` centers (depth >= 1), as a new list.
+
+        ``works`` is the schedule of working precisions for an exact
+        series; by default that of ``branch_steps`` at this depth.
+        """
+        n = max(depth - 1, 0)
+        if n > len(self._steps):
+            self._reach(n, works or _branch_works(self.series, depth))
+        return self._steps[:n]
+
+    def step(self, i: int, works):
+        """The step into center i + 1, on the schedule ``works``."""
+        if i >= len(self._steps):
+            self._reach(i + 1, works)
+        return self._steps[i]
+
+    def _walk(self, n: int):
+        while len(self._steps) < n:
+            step, self._state = _center_step(self._state, self._work)
+            self._steps.append(step)
+
+    def _reach(self, n: int, works):
+        if not self.series.exact:
+            self._walk(n)
+            return
+        failed = 0
+        if self._work is not None and self._work <= works[-1]:
+            try:
+                self._walk(n)
+                return
+            except InsufficientTruncation:
+                failed = self._work
+        # a walk that failed at one precision fails at every lower one
+        for work in [w for w in works[:-1] if w > failed] + [works[-1]]:
+            self._steps, self._state = [], _branch_state(self.series)
+            self._work = work
+            try:
+                self._walk(n)
+                return
+            except InsufficientTruncation:
+                if work == works[-1]:
+                    raise
 
 
 def branch_steps(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
     """Steps of the first ``depth`` centers of a branch (depth >= 1).
 
-    For exact (terminating) series the working precision is raised until
-    every center is certified; for truncated series an uncertifiable step
-    raises InsufficientTruncation.
+    A fresh ``BranchWalk``: for exact (terminating) series the working
+    precision starts at 4 * (m * (depth + 2) + top + 8), for the top
+    exponent ``top``, and doubles until every center is certified, past
+    2^16 raising InsufficientTruncation; for truncated series an
+    uncertifiable step raises InsufficientTruncation.  Callers that
+    deepen one branch hold a ``BranchWalk`` instead.
     """
-    top = max((j for j, _ in series.coeffs), default=1)
-    work = 4 * (series.m * (depth + 2) + top + 8)
-    if not series.exact:
-        return _branch_steps_once(series, depth, work)
-    while True:
-        try:
-            return _branch_steps_once(series, depth, work)
-        except InsufficientTruncation:
-            if work > 1 << 16:
-                raise
-            work *= 2
+    return BranchWalk(series).steps(depth)
 
 
 def diverging_steps(s1: PuiseuxSeries, s2: PuiseuxSeries):
@@ -620,34 +691,35 @@ def diverging_steps(s1: PuiseuxSeries, s2: PuiseuxSeries):
     along a dual edge of the shared cluster; the first free center
     fixes the limb, so the dual position of the returned path ends is
     final and no work is spent deeper.
+
+    Each branch is one ``BranchWalk`` on the schedule ``DIVERGING_WORKS``
+    (256 doubled up to 2^18).  The last precision W of that schedule
+    bounds the search: no divergence within W/4 centers, or a side
+    still satellite after W/2, raises InsufficientTruncation.
     """
-    work = 256
+    works = DIVERGING_WORKS
+    walks = (BranchWalk(s1), BranchWalk(s2))
+    k = 0
     while True:
-        st1, st2 = _branch_state(s1), _branch_state(s2)
-        steps1, steps2 = [], []
-        try:
-            for _ in range(work // 4):
-                a, st1 = _center_step(st1, work)
-                b, st2 = _center_step(st2, work)
-                steps1.append(a)
-                steps2.append(b)
-                if a != b:
-                    break
-            else:
-                raise InsufficientTruncation("branches agree beyond the "
-                                             "exploration depth")
-            for steps, st in ((steps1, st1), (steps2, st2)):
-                while not isinstance(steps[-1], Free):
-                    step, st = _center_step(st, work)
-                    steps.append(step)
-                    if len(steps) > work // 2:
-                        raise InsufficientTruncation(
-                            "satellite cascade beyond the exploration depth")
-            return steps1, steps2
-        except InsufficientTruncation:
-            if work > 1 << 17:
-                raise
-            work *= 2
+        if k == works[-1] // 4:
+            raise InsufficientTruncation("branches agree beyond the "
+                                         "exploration depth")
+        a = walks[0].step(k, works)
+        b = walks[1].step(k, works)
+        k += 1
+        if a != b:
+            break
+    out = []
+    for walk in walks:
+        n = k
+        while not isinstance(walk.step(n - 1, works), Free):
+            walk.step(n, works)
+            n += 1
+            if n > works[-1] // 2:
+                raise InsufficientTruncation(
+                    "satellite cascade beyond the exploration depth")
+        out.append(walk.steps(n + 1))
+    return tuple(out)
 
 
 def branch_to_nodes(base: PointAtInfinity, series: PuiseuxSeries, depth: int):

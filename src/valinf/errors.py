@@ -103,7 +103,21 @@ class WitnessNotFound(DomainError):
 
 
 class ScenarioError(DomainError):
-    """A scenario file or a CLI argument that names into it is malformed."""
+    """A scenario file or a CLI argument that names into it is malformed.
+
+    ``path`` holds the JSON path of the bad field, outermost key first;
+    the message starts with it, dotted: ``valuations.c.coefficients.3:``.
+    """
+
+    def __init__(self, message, path=()):
+        super().__init__(message)
+        self.message = message
+        self.path = tuple(path)
+
+    def __str__(self):
+        if not self.path:
+            return self.message
+        return ".".join(map(str, self.path)) + ": " + self.message
 
 
 __all__ = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import PolynomialSyntaxError, ZeroPolynomial
 from .exact import _q
@@ -101,6 +102,18 @@ _TOKEN = re.compile(r"\s*(\d+|\*\*|[-+*/^()xy])")
 # P^e is refused before any expansion when e * max(deg P, 1) exceeds
 # this: (x+y+1)^160 has 13,041 terms and 9^3000000 has 2.9 million digits
 MAX_POWER_DEGREE = 64
+# ... or when its coefficients may exceed this many bits: nested powers
+# grow as 64^k, and (((9^64)^64)^64)^64 has 53 million bits
+MAX_POWER_BITS = 1 << 16
+
+
+def _power_bits(P: dict, e: int) -> int:
+    """A bound on the bits of the numerators and the denominator of P^e:
+    with D the common denominator of P, the coefficients of (D P)^e sum to
+    at most (sum |D c|)^e in absolute value."""
+    D = lcm(*(c.denominator for c in P.values()))
+    N = sum(abs(c.numerator) * (D // c.denominator) for c in P.values())
+    return e * max(N.bit_length(), D.bit_length())
 
 
 def _integer(tok: str) -> int:
@@ -121,7 +134,8 @@ def parse(text: str) -> dict:
         atom   := integer | "x" | "y" | "(" expr ")"
 
     A divisor must be a nonzero constant, and in P^e the exponent times
-    max(deg P, 1) is at most ``MAX_POWER_DEGREE``.  Any other text raises
+    max(deg P, 1) is at most ``MAX_POWER_DEGREE`` and the coefficients of
+    P^e are bounded by ``MAX_POWER_BITS`` bits.  Any other text raises
     PolynomialSyntaxError; nothing in it is evaluated as code.
     """
     if not isinstance(text, str):
@@ -180,6 +194,10 @@ def parse(text: str) -> dict:
                 > MAX_POWER_DEGREE:
             raise PolynomialSyntaxError(
                 f"power of degree above {MAX_POWER_DEGREE} (exponent {e})")
+        if _power_bits(base, e) > MAX_POWER_BITS:
+            raise PolynomialSyntaxError(
+                f"power with coefficients above {MAX_POWER_BITS} bits "
+                f"(exponent {e})")
         return power(base, e)
 
     def atom():

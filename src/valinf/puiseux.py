@@ -13,8 +13,9 @@ from functools import lru_cache
 from math import gcd
 
 from . import poly
-from .cluster import (PointAtInfinity, PuiseuxBranch, base_strict_series,
-                      branch_steps, eval_divisorial, merge_paths, LINF)
+from .cluster import (BranchWalk, PointAtInfinity, PuiseuxBranch,
+                      base_strict_series, chain_cluster, eval_divisorial,
+                      merge_paths, LINF)
 from .errors import (InternalMismatch, NeedsFieldExtension,
                      PreconditionViolated, PrecisionExceeded, ZeroOrConstant)
 from .exact import Ext, _q, ext_sum, rational_root
@@ -332,8 +333,6 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     worst; simplest-rational bisection is the fallback that keeps probe
     denominators small.
     """
-    from .cluster import branch_to_nodes
-
     alpha = Ext(_q(alpha))
     if alpha >= Ext(1):
         raise PreconditionViolated("segment skewness must be below 1")
@@ -343,15 +342,15 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     # dual-path profile [(skewness, multiplicity)] from the root down,
     # extended on demand
     state = {"depth": 8, "profile": None, "cl": None, "path": None}
+    walk = BranchWalk(branch.series)
 
     def extend_profile(below: Ext):
         if state["profile"] is not None and state["profile"][-1][0] < below:
             return
         while True:
-            cl, nodes = branch_to_nodes(branch.base, branch.series,
-                                        state["depth"])
+            cl = chain_cluster(branch.base, walk.steps(state["depth"]))
             g = cl.geometry()
-            dp = g.dual_path(nodes[-1])
+            dp = g.dual_path(len(cl) - 1)
             prof = [(Ext(g.alpha[n]), g.b[n]) for n in dp]
             state.update(profile=prof, cl=cl, path=dp)
             if prof[-1][0] < below:
@@ -427,9 +426,10 @@ def logplus_laplacian(Q: dict, K=None, materialize=True) -> DiscreteMeasure:
     valuations; otherwise they stay segment points, which is cheaper.
     """
     pairs = weighted_branches(Q, K)
+    walks = [BranchWalk(b.series) for b, _ in pairs]
     depths = [6] * len(pairs)
     while True:
-        paths = [(b.base, tuple(branch_steps(b.base, b.series, depths[i])))
+        paths = [(b.base, tuple(walks[i].steps(depths[i])))
                  for i, (b, _) in enumerate(pairs)]
         merged, ends = merge_paths(paths)
         g = merged.geometry()

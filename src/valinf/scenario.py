@@ -7,6 +7,7 @@ The canonical serialization round-trips through parse exactly.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,20 +34,43 @@ def parse_rational(s) -> Fraction:
         raise ScenarioError(f"bad rational {s!r}: {e}") from e
 
 
-def _field(obj, key, *default, kind=None):
-    """obj[key] of a JSON object, checked to be a ``kind`` if given;
-    a ScenarioError names a missing or mistyped field."""
+@contextmanager
+def _at(*keys):
+    """Put ``keys`` in front of the JSON path of a ScenarioError raised
+    inside."""
+    try:
+        yield
+    except ScenarioError as e:
+        e.path = keys + e.path
+        raise
+
+
+def _field(obj, key, *default, kind=None, parse=None):
+    """obj[key] of a JSON object, checked to be a ``kind`` (dict, list or
+    int) if given and passed through ``parse`` if given; a ScenarioError
+    about the field has ``key`` on its JSON path."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object with field {key!r}, "
                             f"got {obj!r}")
-    if key not in obj and not default:
-        raise ScenarioError(f"missing field {key!r}")
-    out = obj.get(key, *default)
-    if kind is not None and key in obj and not isinstance(out, kind):
-        raise ScenarioError(f"field {key!r} must be "
-                            f"{'an object' if kind is dict else 'a list'}, "
-                            f"got {out!r}")
-    return out
+    with _at(key):
+        if key not in obj and not default:
+            raise ScenarioError(f"missing field {key!r}")
+        out = obj.get(key, *default)
+        if kind is int:
+            out = _int(out, key)
+        elif kind is not None and key in obj and not isinstance(out, kind):
+            raise ScenarioError(
+                f"field {key!r} must be "
+                f"{'an object' if kind is dict else 'a list'}, got {out!r}")
+        return out if parse is None else parse(out)
+
+
+def _polynomial(text) -> dict:
+    """poly.parse(text), with a syntax error as a ScenarioError."""
+    try:
+        return poly.parse(text)
+    except PolynomialSyntaxError as e:
+        raise ScenarioError(str(e)) from None
 
 
 def _int(x, key) -> int:
@@ -82,8 +106,10 @@ def _parse_base(obj) -> PointAtInfinity:
     if chart == "y":
         return PointAtInfinity("y")
     if chart == "x":
-        return PointAtInfinity("x", parse_rational(_field(obj, "c", "0")))
-    raise ScenarioError(f"base chart must be 'x' or 'y', got {chart!r}")
+        return PointAtInfinity("x",
+                               _field(obj, "c", "0", parse=parse_rational))
+    raise ScenarioError(f"base chart must be 'x' or 'y', got {chart!r}",
+                        path=("chart",))
 
 
 def _format_base(base: PointAtInfinity) -> dict:
@@ -95,12 +121,12 @@ def _format_base(base: PointAtInfinity) -> dict:
 def _parse_step(obj):
     t = _field(obj, "type")
     if t == "free":
-        return Free(parse_rational(_field(obj, "c", "0")))
+        return Free(_field(obj, "c", "0", parse=parse_rational))
     if t == "satellite-u":
         return SatU()
     if t == "satellite-v":
         return SatV()
-    raise ScenarioError(f"unknown step type {t!r}")
+    raise ScenarioError(f"unknown step type {t!r}", path=("type",))
 
 
 def _format_step(step) -> dict:
@@ -116,26 +142,30 @@ def parse_valuation(obj) -> Valuation:
     if kind == "root":
         return ROOT
     if kind == "monomial":
-        return Monomial(parse_rational(_field(obj, "s")),
-                        parse_rational(_field(obj, "t")))
+        return Monomial(_field(obj, "s", parse=parse_rational),
+                        _field(obj, "t", parse=parse_rational))
     if kind == "divisorial":
-        base = _parse_base(_field(obj, "base"))
-        steps = [_parse_step(s) for s in _field(obj, "steps", [], kind=list)]
+        base = _field(obj, "base", parse=_parse_base)
+        steps = []
+        for i, s in enumerate(_field(obj, "steps", [], kind=list)):
+            with _at("steps", i):
+                steps.append(_parse_step(s))
         cl = chain_cluster(base, steps)
         return Divisorial(cl, len(cl) - 1)
     if kind == "curve":
-        base = _parse_base(_field(obj, "base"))
-        m = _int(_field(obj, "m"), "m")
-        coeffs = {_int(k, "coefficients"): parse_rational(v)
-                  for k, v in _field(obj, "coefficients", {},
-                                     kind=dict).items()}
-        K = _int(_field(obj, "K", max(coeffs, default=0) + 1), "K")
+        base = _field(obj, "base", parse=_parse_base)
+        m = _field(obj, "m", kind=int)
+        coeffs = {}
+        for k, v in _field(obj, "coefficients", {}, kind=dict).items():
+            with _at("coefficients", k):
+                coeffs[_int(k, "coefficients")] = parse_rational(v)
+        K = _field(obj, "K", max(coeffs, default=0) + 1, kind=int)
         try:
             return curve_of_series(base, m, coeffs, K,
                                    exact=bool(_field(obj, "exact", False)))
         except ValueError as e:
             raise ScenarioError(f"curve series: {e}") from None
-    raise ScenarioError(f"unknown valuation kind {kind!r}")
+    raise ScenarioError(f"unknown valuation kind {kind!r}", path=("kind",))
 
 
 def format_valuation(v: Valuation) -> dict:
@@ -176,17 +206,15 @@ def parse_scenario(text: str) -> Scenario:
                             f"expected {FORMAT}")
     sc = Scenario()
     for name, spec in _field(obj, "valuations", {}, kind=dict).items():
-        sc.valuations[name] = parse_valuation(spec)
+        with _at("valuations", name):
+            sc.valuations[name] = parse_valuation(spec)
     for name, text_p in _field(obj, "polynomials", {}, kind=dict).items():
-        if not isinstance(text_p, str):
-            raise ScenarioError(f"polynomial {name!r} must be a string")
-        try:
-            sc.polynomials[name] = poly.parse(text_p)
-        except PolynomialSyntaxError as e:
-            raise ScenarioError(f"polynomial {name!r}: {e}") from None
+        with _at("polynomials", name):
+            sc.polynomials[name] = _polynomial(text_p)
     sc.options = dict(_field(obj, "options", {}, kind=dict))
     if "max_degree" in sc.options:
-        _int(sc.options["max_degree"], "max_degree")
+        with _at("options"):
+            _field(sc.options, "max_degree", kind=int)
     sc.algebraize = _field(obj, "algebraize", None, kind=dict)
     return sc
 
@@ -198,28 +226,39 @@ def parse_algebraize(spec: dict):
     infinity, all with the declared primes, radii and bounds.
     """
     def places(obj, key):
-        return {(ARCH if k == ARCH else _int(k, key)): parse_rational(r)
-                for k, r in _field(obj, key, {}, kind=dict).items()}
+        out = {}
+        for k, r in _field(obj, key, {}, kind=dict).items():
+            with _at(key, k):
+                out[ARCH if k == ARCH else _int(k, key)] = parse_rational(r)
+        return out
 
-    branches = []
-    for bs in _field(spec, "branches", [], kind=list):
-        text = _field(bs, "polynomial", None)
-        if text is not None:
-            curves = [Curve(b) for b in branches_at_infinity(poly.parse(text))]
-        else:
-            curves = [parse_valuation(_field(bs, "curve"))]
-        primes = tuple(_int(p, "primes")
-                       for p in _field(bs, "primes", [], kind=list))
-        branches += [AdelicBranch(curve=cv, primes=primes,
-                                  radius=places(bs, "radius"),
-                                  bound=places(bs, "bound"))
-                     for cv in curves]
-    points = []
-    for pt in _field(spec, "points", [], kind=list):
-        if not (isinstance(pt, list) and len(pt) == 2):
-            raise ScenarioError(f"a point must be a pair [x, y], got {pt!r}")
-        points.append((parse_rational(pt[0]), parse_rational(pt[1])))
-    return branches, points, _int(_field(spec, "max_degree", 6), "max_degree")
+    with _at("algebraize"):
+        branches = []
+        for i, bs in enumerate(_field(spec, "branches", [], kind=list)):
+            with _at("branches", i):
+                text = _field(bs, "polynomial", None)
+                if text is not None:
+                    with _at("polynomial"):
+                        P = _polynomial(text)
+                    curves = [Curve(b) for b in branches_at_infinity(P)]
+                else:
+                    curves = [_field(bs, "curve", parse=parse_valuation)]
+                primes = []
+                for j, p in enumerate(_field(bs, "primes", [], kind=list)):
+                    with _at("primes", j):
+                        primes.append(_int(p, "primes"))
+                branches += [AdelicBranch(curve=cv, primes=tuple(primes),
+                                          radius=places(bs, "radius"),
+                                          bound=places(bs, "bound"))
+                             for cv in curves]
+        points = []
+        for i, pt in enumerate(_field(spec, "points", [], kind=list)):
+            with _at("points", i):
+                if not (isinstance(pt, list) and len(pt) == 2):
+                    raise ScenarioError(
+                        f"a point must be a pair [x, y], got {pt!r}")
+                points.append((parse_rational(pt[0]), parse_rational(pt[1])))
+        return branches, points, _field(spec, "max_degree", 6, kind=int)
 
 
 def serialize_scenario(sc: Scenario) -> str:

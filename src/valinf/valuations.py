@@ -13,10 +13,9 @@ from enum import Enum
 from fractions import Fraction
 
 from . import poly
-from .cluster import (Cluster, PuiseuxBranch, PointAtInfinity, branch_steps,
-                      diverging_steps,
-                      eval_divisorial, merge_paths, monomial_to_node,
-                      weight_chain, LINF)
+from .cluster import (BranchWalk, Cluster, PuiseuxBranch, PointAtInfinity,
+                      diverging_steps, eval_divisorial, merge_paths,
+                      monomial_to_node, weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
 from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
 from .series import LaurentSeries, PuiseuxSeries, powers
@@ -234,14 +233,35 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
     target = path_key(v)
     if c.branch.base != target[0]:
         return ROOT
-    depth = len(target[1]) + 2
-    while True:
-        steps = branch_steps(c.branch.base, c.branch.series, depth)
-        merged, (et, ec) = merge_paths([target, (c.branch.base, tuple(steps))])
+    walk = BranchWalk(c.branch.series)
+
+    def meet_at(depth):
+        """The meet read off the first ``depth`` centers of c, or None
+        while their end is on the dual path of v's divisor."""
+        merged, (et, ec) = merge_paths(
+            [target, (c.branch.base, tuple(walk.steps(depth)))])
         lca = merged.geometry().lca(et, ec)
-        if lca != ec:
-            return _wrap_lca(lca, merged, v, c)
-        depth += 2
+        return None if lca == ec else _wrap_lca(lca, merged, v, c)
+
+    # from two centers past v's path on, once the branch end leaves v's
+    # dual path it stays off it and gives the same meet, so the depth
+    # grows in doubling strides; a walk that cannot be certified sends the
+    # search back to +2 strides from the last depth checked, so that it
+    # raises only where a search in +2 strides raises
+    last, depth, stride, grow = None, len(target[1]) + 2, 2, True
+    while True:
+        try:
+            out = meet_at(depth)
+        except InsufficientTruncation:
+            if last is None or depth == last + 2:
+                raise
+            depth, stride, grow = last + 2, 2, False
+            continue
+        if out is not None:
+            return out
+        last, depth = depth, depth + stride
+        if grow:
+            stride *= 2
 
 
 def _meet_curves(a: Curve, b: Curve) -> Valuation:

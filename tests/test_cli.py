@@ -186,6 +186,40 @@ def _algebraize(**fields):
     return {"format": 1,
             "algebraize": dict(ALGEBRAIZE["algebraize"], **fields)}
 
+def _curve(**fields):
+    return {"format": 1, "valuations": {
+        "c": dict(SCENARIO["valuations"]["c1"], **fields)}}
+
+
+@pytest.mark.parametrize("doc, argv, path", [
+    (_curve(coefficients={"1": "1", "3": "x"}), ["skewness"],
+     "valuations.c.coefficients.3: "),
+    (_curve(m="two"), ["skewness"], "valuations.c.m: "),
+    (_curve(base={"chart": "z"}), ["skewness"], "valuations.c.base.chart: "),
+    ({"format": 1, "valuations": {"d": {
+        "kind": "divisorial", "base": {"chart": "x"},
+        "steps": [{"type": "free", "c": "1"}, {"type": "bogus"}]}}},
+     ["skewness"], "valuations.d.steps.1.type: "),
+    ({"format": 1, "polynomials": {"Q": "x^"}}, ["skewness"],
+     "polynomials.Q: "),
+    (_with(options={"max_degree": "six"}), ["classify"],
+     "options.max_degree: "),
+    (_algebraize(branches=[{"polynomial": "y^2-x^3", "primes": [2, "two"]}]),
+     ["algebraize"], "algebraize.branches.0.primes.1: "),
+    (_algebraize(branches=[{"polynomial": "y^"}]), ["algebraize"],
+     "algebraize.branches.0.polynomial: "),
+    (_algebraize(points=[["1", "2"], ["1"]]), ["algebraize"],
+     "algebraize.points.1: "),
+], ids=["coefficient", "m", "chart", "step-type", "polynomial",
+        "max-degree", "prime", "algebraize-polynomial", "point"])
+def test_bad_field_error_names_its_json_path(tmp_path, capsys, doc, argv,
+                                             path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, argv[0], "-f", str(p), *argv[1:])
+    assert rc == 2 and err.startswith("error: " + path)
+    assert "Traceback" not in err and out == ""
+
 
 @pytest.mark.parametrize("doc, argv, field", [
     ({"format": 1, "valuations": []}, ["skewness"], "'valuations'"),
@@ -224,6 +258,19 @@ def test_successive_calls_share_no_state(scfile, capsys):
     assert rc == 0 and out.startswith("m1: alpha = ")
     rc, out, _ = run(capsys, "classify", "-f", scfile, "--json", "m1", "m0")
     assert rc == 0 and json.loads(out)["degree_bound"] == 6
+
+
+def test_meet_of_a_highly_ramified_curve(tmp_path, capsys):
+    # the curve's satellite run is 999 centers long
+    doc = {"format": 1, "valuations": {
+        "c": {"kind": "curve", "base": {"chart": "y"}, "m": 1000,
+              "coefficients": {"1": "1"}, "exact": True},
+        "d": {"kind": "divisorial", "base": {"chart": "y"},
+              "steps": [{"type": "free", "c": "1"}]}}}
+    p = tmp_path / "ramified.json"
+    p.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "meet", "-f", str(p), "c", "d")
+    assert rc == 0 and "alpha = 999/1000" in out
 
 
 def test_duplicate_name_exits_2(scfile, capsys):

@@ -108,6 +108,7 @@ def test_to_string_round_trip(P):
     "x^y", "x/y", "x+", "x/0", "2x", "x^-1", "1.5*x", "(x", "x)", "2^3^2",
     "z", "", "(" * 5000 + "x" + ")" * 5000, 7,
     "x^65", "(x*y)^33", "9^3000000", "9" * 5000, "x^" + "1" * 5000,
+    "(((9^64)^64)^64)^64", "((2^64)^64)^64",
 ])
 def test_parse_rejects(text, capsys):
     with pytest.raises(PolynomialSyntaxError):
@@ -122,6 +123,16 @@ def test_power_degree_cap():
     start = time.perf_counter()
     with pytest.raises(PolynomialSyntaxError, match="degree above 64"):
         poly.parse("(x+y+1)^160")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_power_bits_cap():
+    assert poly.parse("(9^64)^64") == {(0, 0): 9 ** 4096}
+    assert poly.parse("(x/3+2*y)^8") == poly.power(
+        {(1, 0): Fraction(1, 3), (0, 1): Fraction(2)}, 8)
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError, match="bits"):
+        poly.parse("(((9^64)^64)^64)^64")
     assert time.perf_counter() - start < 0.5
 
 
