@@ -179,24 +179,26 @@ def chain_cluster(base: PointAtInfinity, steps) -> Cluster:
 def merge_paths(paths):
     """Union of center paths; returns (Cluster, node index per path end).
 
-    Each path is (base, steps tuple).  Paths sharing a prefix share nodes.
+    Each path is (base, steps).  Paths sharing a prefix share nodes: the
+    paths go into a trie keyed by (parent index, step), with the roots
+    keyed by (-1, base), so the cost is linear in the total path length.
+    Nodes are numbered in order of first appearance.
     """
     nodes = []
     index = {}
     ends = []
     for base, steps in paths:
-        steps = tuple(steps)
-        for k in range(len(steps) + 1):
-            key = (base, steps[:k])
-            if key in index:
-                continue
-            parent = -1 if k == 0 else index[(base, steps[:k - 1])]
-            if k == 0:
-                nodes.append(Node(parent=-1, base=base, step=None))
-            else:
-                nodes.append(Node(parent=parent, base=None, step=steps[k - 1]))
-            index[key] = len(nodes) - 1
-        ends.append(index[(base, steps)])
+        i = index.get((-1, base))
+        if i is None:
+            i = index[(-1, base)] = len(nodes)
+            nodes.append(Node(parent=-1, base=base, step=None))
+        for st in steps:
+            child = index.get((i, st))
+            if child is None:
+                child = index[(i, st)] = len(nodes)
+                nodes.append(Node(parent=i, base=None, step=st))
+            i = child
+        ends.append(i)
     return Cluster(nodes), ends
 
 
@@ -557,8 +559,13 @@ def monomial_to_node(s, t):
 
 
 def _center_step(state, work):
-    """One center of a branch: (step, next state)."""
-    U, V, v_present = state
+    """One center of a branch: (step, next state).
+
+    The state is (U, V, v_present, U^-1), where U^-1 is None until a
+    step divides by U.  The steps that divide by U leave U unchanged, so
+    U is inverted once per change of U, not once per center.
+    """
+    U, V, v_present, Ui = state
     if V.is_zero_known():
         if V.prec is not None:
             raise InsufficientTruncation(
@@ -568,18 +575,20 @@ def _center_step(state, work):
         return Free(Fraction(0)), state
     a = U.order()
     b = V.order()
+    if a > b:
+        return SatU(), (U * V.inverse(work), V, True, None)
+    if Ui is None:
+        Ui = U.inverse(work)
     if b > a:
         step = SatV() if v_present else Free(Fraction(0))
-        return step, (U, V * U.inverse(work), v_present)
-    if a > b:
-        return SatU(), (U * V.inverse(work), V, True)
+        return step, (U, V * Ui, v_present, Ui)
     c = V.leading() / U.leading()
-    return Free(c), (U, V * U.inverse(work) - LaurentSeries.monomial(0, c),
-                     False)
+    return Free(c), (U, V * Ui - LaurentSeries.monomial(0, c), False, Ui)
 
 
 def _branch_state(series: PuiseuxSeries):
-    return (LaurentSeries.monomial(series.m), series.tau_series(), False)
+    return (LaurentSeries.monomial(series.m), series.tau_series(), False,
+            None)
 
 
 def _doubling(work: int, cap: int) -> tuple:
@@ -614,6 +623,11 @@ class BranchWalk:
     a step cannot be certified there it is redone from the root on the
     caller's schedule of precisions, doubling up to a cap, so it raises
     exactly where a walk from the root on that schedule raises.
+
+    Cost: a center step is one series product, plus one series inverse
+    for a SatU step (U / V) and for the first free or SatV step (V / U)
+    after a change of U.  Those steps leave U unchanged, so the state
+    keeps U^-1, and a run of them inverts U once.
     """
 
     __slots__ = ("series", "_steps", "_state", "_work")
@@ -682,8 +696,12 @@ def branch_steps(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
     return BranchWalk(series).steps(depth)
 
 
-def diverging_steps(s1: PuiseuxSeries, s2: PuiseuxSeries):
+def diverging_steps(s1, s2):
     """Step prefixes of two branches that pin down their separation.
+
+    Each branch is a ``PuiseuxSeries``, walked afresh, or a
+    ``BranchWalk`` of one, which is continued: a caller that meets one
+    branch with many others walks it once.
 
     Walks both expansions in lockstep to the first differing center,
     then extends each side through its first free center from there on.
@@ -692,13 +710,14 @@ def diverging_steps(s1: PuiseuxSeries, s2: PuiseuxSeries):
     fixes the limb, so the dual position of the returned path ends is
     final and no work is spent deeper.
 
-    Each branch is one ``BranchWalk`` on the schedule ``DIVERGING_WORKS``
+    Each branch is walked on the schedule ``DIVERGING_WORKS``
     (256 doubled up to 2^18).  The last precision W of that schedule
     bounds the search: no divergence within W/4 centers, or a side
     still satellite after W/2, raises InsufficientTruncation.
     """
     works = DIVERGING_WORKS
-    walks = (BranchWalk(s1), BranchWalk(s2))
+    walks = tuple(s if isinstance(s, BranchWalk) else BranchWalk(s)
+                  for s in (s1, s2))
     k = 0
     while True:
         if k == works[-1] // 4:

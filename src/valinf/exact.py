@@ -370,16 +370,6 @@ def chi_det(M: SymMatrixExt) -> Ext:
     return limit_at_neg_infinity(p)
 
 
-def is_negative_definite(M: SymMatrixExt) -> bool:
-    """Sylvester criterion evaluated in the u -> -inf limit."""
-    for k in range(1, M.size + 1):
-        sign, _ = sign_at_neg_infinity(M.det_tpoly(k))
-        want = 1 if k % 2 == 0 else -1
-        if sign != want:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # exact linear algebra
 # ---------------------------------------------------------------------------

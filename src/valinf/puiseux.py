@@ -21,7 +21,7 @@ from .errors import (InternalMismatch, NeedsFieldExtension,
 from .exact import Ext, _q, ext_sum, rational_root
 from .potential import DiscreteMeasure, EdgePoint, measure, point_green
 from .series import PuiseuxSeries
-from .valuations import Curve, Divisorial, meet, skewness
+from .valuations import Curve, Divisorial, _meet_curves, equal, skewness
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,9 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
         raise InternalMismatch("probe skewness fell off the dual profile")
 
     def probe(xi):
-        m = meet(cv, _perturbed_curve(branch, xi))
+        # meet(cv, other), continuing the walk of cv's own branch
+        other = _perturbed_curve(branch, xi)
+        m = cv if equal(cv, other) else _meet_curves(cv, other, walk)
         return skewness(m), m
 
     lo = Fraction(1, 2 * ram)

@@ -1,9 +1,12 @@
 """BranchWalk and its users against walks from the root.
 
-The oracles here are the restarting walks that the resumable walker
-replaced: ``branch_steps`` as one fresh walk per working precision,
-``diverging_steps`` as a lockstep walk restarted at each doubling, and
-the curve/divisorial meet deepened by two centers per round.
+The oracles here are frozen copies of slower code: the center step that
+inverts a chart coordinate at every step, the dense ``LaurentSeries``
+product and inverse loops (the reference for any faster loop), the
+prefix-keyed ``merge_paths``, ``branch_steps`` as one fresh walk per
+working precision, ``diverging_steps`` as a lockstep walk restarted at
+each doubling, and the curve/divisorial meet deepened by two centers per
+round.
 """
 
 from fractions import Fraction
@@ -13,13 +16,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 import valinf.cluster as cluster
 from valinf import poly
-from valinf.cluster import (BranchWalk, Free, PointAtInfinity, PuiseuxBranch,
-                            SatU, SatV, _branch_state, _center_step,
-                            branch_steps, chain_cluster, diverging_steps,
-                            merge_paths)
+from valinf.cluster import (BranchWalk, Cluster, Free, Node, PointAtInfinity,
+                            PuiseuxBranch, SatU, SatV, branch_steps,
+                            chain_cluster, diverging_steps, merge_paths)
 from valinf.errors import InsufficientTruncation, InvalidCluster
-from valinf.puiseux import logplus_laplacian, weighted_branches
-from valinf.series import PuiseuxSeries
+from valinf.puiseux import (divisorial_on_segment, logplus_laplacian,
+                            weighted_branches)
+from valinf.series import LaurentSeries, PuiseuxSeries
 from valinf.valuations import (Curve, Divisorial, ROOT,
                                _meet_curve_realizable, _wrap_lca, equal,
                                meet, path_key, skewness)
@@ -30,8 +33,104 @@ derandomized = settings(derandomize=True, max_examples=120, deadline=None)
 
 
 # ---------------------------------------------------------------------------
-# oracles: walks from the root
+# oracles: dense series loops, prefix-keyed merging, walks from the root
 # ---------------------------------------------------------------------------
+
+
+def dense_mul(f, g):
+    """f * g by the double loop over all pairs of terms."""
+    prec = None
+    if f.prec is not None:
+        og = min(g.coeffs) if g.coeffs else 0
+        prec = f.prec + og
+    if g.prec is not None:
+        of = min(f.coeffs) if f.coeffs else 0
+        prec = g.prec + of if prec is None else min(prec, g.prec + of)
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if prec is not None and e >= prec:
+                continue
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return LaurentSeries(out, prec)
+
+
+def dense_inverse(f, prec_hint=None):
+    """1/f by the convolution recurrence over every exponent below the
+    working precision."""
+    o = f.order()
+    lead = f.coeffs[o]
+    h = {}
+    for e, c in f.coeffs.items():
+        if e != o:
+            h[e - o] = c / lead
+    if not h:
+        prec = None if f.prec is None else f.prec - 2 * o
+        return LaurentSeries({-o: Fraction(1) / lead}, prec)
+    if f.prec is None:
+        work = prec_hint if prec_hint is not None else 32
+    else:
+        work = f.prec - o
+    g = {0: Fraction(1)}
+    for k in range(1, work):
+        s = Fraction(0)
+        for j, c in h.items():
+            if j <= k:
+                gk = g.get(k - j)
+                if gk is not None:
+                    s += c * gk
+        if s:
+            g[k] = -s
+    inv = LaurentSeries(g, work)
+    return inv.scale(Fraction(1) / lead).shift(-o)
+
+
+def prefix_merge_paths(paths):
+    """merge_paths with one dict entry per path prefix."""
+    nodes = []
+    index = {}
+    ends = []
+    for base, steps in paths:
+        steps = tuple(steps)
+        for k in range(len(steps) + 1):
+            key = (base, steps[:k])
+            if key in index:
+                continue
+            parent = -1 if k == 0 else index[(base, steps[:k - 1])]
+            if k == 0:
+                nodes.append(Node(parent=-1, base=base, step=None))
+            else:
+                nodes.append(Node(parent=parent, base=None, step=steps[k - 1]))
+            index[key] = len(nodes) - 1
+        ends.append(index[(base, steps)])
+    return Cluster(nodes), ends
+
+
+def _center_step(state, work):
+    """One center of a branch, inverting a coordinate at every step."""
+    U, V, v_present = state
+    if V.is_zero_known():
+        if V.prec is not None:
+            raise InsufficientTruncation(
+                "branch series vanishes to its stored order")
+        if v_present:
+            raise InvalidCluster("branch coincides with a boundary curve")
+        return Free(Fraction(0)), state
+    a = U.order()
+    b = V.order()
+    if b > a:
+        step = SatV() if v_present else Free(Fraction(0))
+        return step, (U, dense_mul(V, dense_inverse(U, work)), v_present)
+    if a > b:
+        return SatU(), (dense_mul(U, dense_inverse(V, work)), V, True)
+    c = V.leading() / U.leading()
+    return Free(c), (U, dense_mul(V, dense_inverse(U, work))
+                     - LaurentSeries.monomial(0, c), False)
+
+
+def _branch_state(series):
+    return (LaurentSeries.monomial(series.m), series.tau_series(), False)
 
 
 def walk_from_root(series, depth, work=None, cap=1 << 16):
@@ -92,7 +191,8 @@ def meet_by_plus_two(c, v):
     depth = len(target[1]) + 2
     while True:
         steps = walk_from_root(c.branch.series, depth)
-        merged, (et, ec) = merge_paths([target, (c.branch.base, tuple(steps))])
+        merged, (et, ec) = prefix_merge_paths(
+            [target, (c.branch.base, tuple(steps))])
         lca = merged.geometry().lca(et, ec)
         if lca != ec:
             return _wrap_lca(lca, merged, v, c)
@@ -128,6 +228,24 @@ def series(draw, exact=None, top=12):
 
 
 @st.composite
+def two_pairs(draw):
+    """A branch with two characteristic exponents, such as
+    y = x^(1/2) + x^(3/4): its walk runs SatU, a free center and SatU
+    again, which no branch of ``series`` does (one characteristic
+    exponent at most, for m <= 3)."""
+    d, q = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]))
+    m = d * q
+    j1 = d * draw(st.sampled_from([k for k in range(1, 2 * q)
+                                   if k % q]))
+    j2 = draw(st.integers(j1 + 1, j1 + m).filter(lambda j: j % d))
+    coeffs = {j1: draw(coefficients), j2: draw(coefficients)}
+    coeffs.update(draw(st.dictionaries(st.integers(1, j2 + 3), coefficients,
+                                       max_size=2)))
+    K = draw(st.integers(max(coeffs), max(coeffs) + 3))
+    return PuiseuxSeries.make(m, coeffs, K, exact=draw(st.booleans()))
+
+
+@st.composite
 def series_pairs(draw):
     """Two branches that share a prefix of terms and differ in one."""
     s1 = draw(series(top=6))
@@ -139,6 +257,100 @@ def series_pairs(draw):
     # two exact expansions of one branch never diverge
     assume(not (s1.exact and s2.exact and s1.reduced() == s2.reduced()))
     return s1, s2
+
+
+@st.composite
+def laurent(draw, nonzero=False):
+    """A Laurent series, exact or truncated, whose terms are sparse (on
+    multiples of a stride, so the inverse has gaps) or dense."""
+    stride = draw(st.sampled_from([1, 1, 2, 3, 5]))
+    low = draw(st.integers(-4, 4))
+    exps = draw(st.lists(st.integers(0, 12), max_size=8))
+    coeffs = {low + stride * k: draw(coefficients) for k in exps}
+    if nonzero:
+        coeffs[low] = draw(coefficients)
+    prec = draw(st.none() | st.integers(low + 1, low + 40))
+    return LaurentSeries(coeffs, prec)
+
+
+@derandomized
+@given(laurent(), laurent())
+def test_product_matches_the_dense_loop(f, g):
+    out = f * g
+    want = dense_mul(f, g)
+    assert (out.coeffs, out.prec) == (want.coeffs, want.prec)
+    flipped = g * f
+    assert (flipped.coeffs, flipped.prec) == (out.coeffs, out.prec)
+
+
+@derandomized
+@given(laurent(nonzero=True), st.none() | st.integers(0, 60))
+def test_inverse_matches_the_dense_recurrence(f, hint):
+    out = outcome(f.inverse, hint)
+    want = outcome(dense_inverse, f, hint)
+    if isinstance(want, LaurentSeries):
+        assert (out.coeffs, out.prec) == (want.coeffs, want.prec)
+        # f * f^-1 is 1 below the precision of the product
+        one = f * out
+        assert one.coeffs == ({0: 1} if one.prec is None or one.prec > 0
+                              else {})
+    else:
+        assert out == want
+
+
+bases = st.sampled_from([PY, PointAtInfinity("x"), PointAtInfinity("x", 1)])
+
+
+@st.composite
+def center_steps(draw, start=()):
+    """``start`` continued by up to 8 centers that make a valid chain:
+    SatV only on a v-axis, left by a satellite, and Free(0) only off it."""
+    steps = list(start)
+    for _ in range(draw(st.integers(0, 8))):
+        on_v = bool(steps) and not isinstance(steps[-1], Free)
+        steps.append(draw(st.sampled_from(
+            [SatU(), Free(F(1)), Free(F(-1, 2))]
+            + ([SatV()] if on_v else [Free(F(0))]))))
+    return tuple(steps)
+
+
+@st.composite
+def path_sets(draw):
+    """Prefixes of a few center chains at one or more bases; the chains
+    at one base share a prefix, and some paths repeat or are bare base
+    points."""
+    stems = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw(bases)
+        shared = [s for b, s in stems if b == base]
+        start = ()
+        if shared:
+            stem = draw(st.sampled_from(shared))
+            start = stem[:draw(st.integers(0, len(stem)))]
+        stems.append((base, draw(center_steps(start))))
+    paths = []
+    for _ in range(draw(st.integers(1, 7))):
+        base, steps = draw(st.sampled_from(stems))
+        paths.append((base, steps[:draw(st.integers(0, len(steps)))]))
+    return paths
+
+
+@derandomized
+@given(path_sets())
+def test_merge_paths_matches_the_prefix_dict(paths):
+    def nodes_and_ends(merge):
+        cl, ends = merge(paths)
+        return cl.nodes, ends
+    assert outcome(nodes_and_ends, merge_paths) == \
+        outcome(nodes_and_ends, prefix_merge_paths)
+
+
+def test_merge_paths_is_linear_in_a_deep_path():
+    steps = (Free(F(1)),) + (SatU(),) * 19_999
+    cl, (end,) = merge_paths([(PY, steps)])
+    assert len(cl) == 20_001 and end == 20_000
+    cl, ends = merge_paths([(PY, steps), (PY, steps[:5_000]), (PY, ())])
+    assert len(cl) == 20_001 and ends == [20_000, 5_000, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +366,17 @@ def test_walk_matches_walks_from_the_root(s, depths):
     walk = BranchWalk(s)
     for d in depths:
         assert outcome(walk.steps, d) == outcome(walk_from_root, s, d)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(two_pairs(), st.lists(st.integers(0, 12), min_size=1, max_size=3))
+def test_walk_of_two_characteristic_exponents(s, depths):
+    # low working precisions keep the dense oracle cheap
+    works = cluster._doubling(32, 256)
+    walk = BranchWalk(s)
+    for d in depths:
+        assert outcome(walk.steps, d, works) == \
+            outcome(walk_from_root, s, d, 32, 256)
 
 
 @derandomized
@@ -253,13 +476,15 @@ def test_curve_meet_matches_the_plus_two_search(pair):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts center steps, and records each walker with the depths
-    asked of it."""
+    """Records the walker of each center step, and each walker with the
+    depths asked of it."""
     calls = []
     walks = []
+    walking = []
     step = cluster._center_step
     init = BranchWalk.__init__
     steps = BranchWalk.steps
+    walk = BranchWalk._walk
 
     def counting_init(self, series):
         init(self, series)
@@ -269,10 +494,18 @@ def counted(monkeypatch):
         next(d for w, d in walks if w is self).append(depth)
         return steps(self, depth, works)
 
+    def tracking_walk(self, n):
+        walking.append(self)
+        try:
+            walk(self, n)
+        finally:
+            walking.pop()
+
     monkeypatch.setattr(cluster, "_center_step",
-                        lambda *a: calls.append(1) or step(*a))
+                        lambda *a: calls.append(walking[-1]) or step(*a))
     monkeypatch.setattr(BranchWalk, "__init__", counting_init)
     monkeypatch.setattr(BranchWalk, "steps", recording_steps)
+    monkeypatch.setattr(BranchWalk, "_walk", tracking_walk)
     return calls, walks
 
 
@@ -297,3 +530,22 @@ def test_large_ramification_meet_walks_once(counted):
     (walk, depths), = walks
     assert len(calls) == len(walk._steps) == depths[-1] - 1
     assert len(depths) < 12                 # doubling strides, not +2
+
+
+def test_segment_search_walks_its_branch_once(counted):
+    calls, walks = counted
+    (b, _), = weighted_branches(poly.parse("y^3-x^5+x*y"))
+    d = divisorial_on_segment(b, F(-5, 2))
+    # every probe meets the branch with a perturbed curve: the branch is
+    # one walker, continued to the deepest center any probe reached
+    own = [w for w, _ in walks if w.series == b.series]
+    assert len(own) == 1 and len(walks) > 1
+    walk, = own
+    assert calls.count(walk) == len(walk._steps) == 87
+    # the divisorial found when each probe walked the branch afresh
+    steps = [SatU(), SatU(), SatV()]
+    for c in [1, 1, 3, 12, 55, 273, 1428, 7752, 43263, 246675, 1430715]:
+        steps += [Free(F(c))] + [Free(F(0))] * 6
+    steps += [Free(F(8414640)), SatU()]
+    assert path_key(d) == (PY, tuple(steps))
+    assert skewness(d).q == F(-5, 2)

@@ -260,17 +260,29 @@ def test_successive_calls_share_no_state(scfile, capsys):
     assert rc == 0 and json.loads(out)["degree_bound"] == 6
 
 
-def test_meet_of_a_highly_ramified_curve(tmp_path, capsys):
-    # the curve's satellite run is 999 centers long
+def ramified_meet(tmp_path, capsys, m):
+    """CLI meet of the curve y = x^(1/m) (chart y) with a one-step
+    divisorial; the curve's satellite run is m - 1 centers long."""
     doc = {"format": 1, "valuations": {
-        "c": {"kind": "curve", "base": {"chart": "y"}, "m": 1000,
+        "c": {"kind": "curve", "base": {"chart": "y"}, "m": m,
               "coefficients": {"1": "1"}, "exact": True},
         "d": {"kind": "divisorial", "base": {"chart": "y"},
               "steps": [{"type": "free", "c": "1"}]}}}
     p = tmp_path / "ramified.json"
     p.write_text(json.dumps(doc))
-    rc, out, _ = run(capsys, "meet", "-f", str(p), "c", "d")
+    return run(capsys, "meet", "-f", str(p), "c", "d")
+
+
+def test_meet_of_a_highly_ramified_curve(tmp_path, capsys):
+    rc, out, _ = ramified_meet(tmp_path, capsys, 1000)
     assert rc == 0 and "alpha = 999/1000" in out
+
+
+def test_meet_merges_a_deep_path_in_linear_time(tmp_path, capsys):
+    # each round of the meet merges the curve's path, 3,000 centers deep
+    # at the end, with the divisorial's
+    rc, out, _ = ramified_meet(tmp_path, capsys, 3000)
+    assert rc == 0 and "alpha = 2999/3000" in out
 
 
 def test_duplicate_name_exits_2(scfile, capsys):

@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import is_negative_definite
 from valinf.exact import (Ext, IndeterminateForm, NEG_INF, POS_INF,
                           SymMatrixExt, TPoly, chi_det, det, ext_sum,
-                          invert_matrix, is_negative_definite,
-                          limit_at_neg_infinity, sign_at_neg_infinity,
-                          solve_linear)
+                          invert_matrix, limit_at_neg_infinity,
+                          sign_at_neg_infinity, solve_linear)
 
 F = Fraction
 derandomized = settings(derandomize=True, max_examples=200, deadline=None)

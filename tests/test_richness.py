@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import is_negative_definite
 from randgen import random_cluster, incomparable_nodes, random_mixed_set
 from valinf import poly
 from valinf.errors import (KernelDimensionNotOne, PreconditionViolated)
-from valinf.exact import Ext, NEG_INF, POS_INF, is_negative_definite
+from valinf.exact import Ext, NEG_INF, POS_INF
 from valinf.potential import dirichlet, value
 from valinf.puiseux import logplus_laplacian, weighted_branches
 from valinf.richness import (ValuationSet, chi_of, classify, kernel_function,
