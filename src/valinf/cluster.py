@@ -561,11 +561,16 @@ def monomial_to_node(s, t):
 def _center_step(state, work):
     """One center of a branch: (step, next state).
 
-    The state is (U, V, v_present, U^-1), where U^-1 is None until a
-    step divides by U.  The steps that divide by U leave U unchanged, so
-    U is inverted once per change of U, not once per center.
+    The state is (U, V, v_present, U^-1, V^-1), where an inverse is None
+    until a step divides by it.  A SatU step divides U by V and leaves V
+    unchanged; a free or SatV step divides V by U and leaves U
+    unchanged.  So each coordinate is inverted once per change of it,
+    not once per center, and a run of SatU centers inverts V once.
+
+    Cost: one series product, plus one inverse on the first step of a
+    run that divides by a coordinate that changed.
     """
-    U, V, v_present, Ui = state
+    U, V, v_present, Ui, Vi = state
     if V.is_zero_known():
         if V.prec is not None:
             raise InsufficientTruncation(
@@ -576,19 +581,22 @@ def _center_step(state, work):
     a = U.order()
     b = V.order()
     if a > b:
-        return SatU(), (U * V.inverse(work), V, True, None)
+        if Vi is None:
+            Vi = V.inverse(work)
+        return SatU(), (U * Vi, V, True, None, Vi)
     if Ui is None:
         Ui = U.inverse(work)
     if b > a:
         step = SatV() if v_present else Free(Fraction(0))
-        return step, (U, V * Ui, v_present, Ui)
+        return step, (U, V * Ui, v_present, Ui, None)
     c = V.leading() / U.leading()
-    return Free(c), (U, V * Ui - LaurentSeries.monomial(0, c), False, Ui)
+    return Free(c), (U, V * Ui - LaurentSeries.monomial(0, c), False, Ui,
+                     None)
 
 
 def _branch_state(series: PuiseuxSeries):
     return (LaurentSeries.monomial(series.m), series.tau_series(), False,
-            None)
+            None, None)
 
 
 def _doubling(work: int, cap: int) -> tuple:
@@ -624,10 +632,12 @@ class BranchWalk:
     caller's schedule of precisions, doubling up to a cap, so it raises
     exactly where a walk from the root on that schedule raises.
 
-    Cost: a center step is one series product, plus one series inverse
-    for a SatU step (U / V) and for the first free or SatV step (V / U)
-    after a change of U.  Those steps leave U unchanged, so the state
-    keeps U^-1, and a run of them inverts U once.
+    Cost: a center step is one series product (U / V for a SatU step,
+    V / U for a free or SatV step), plus one series inverse on the first
+    step of a run after the divisor changed.  A SatU step leaves V
+    unchanged and the others leave U unchanged, so the state keeps U^-1
+    and V^-1: a run of SatU centers inverts V once, and a run of free
+    and SatV centers inverts U once.
     """
 
     __slots__ = ("series", "_steps", "_state", "_work")
@@ -739,15 +749,3 @@ def diverging_steps(s1, s2):
                     "satellite cascade beyond the exploration depth")
         out.append(walk.steps(n + 1))
     return tuple(out)
-
-
-def branch_to_nodes(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
-    """Cluster through the first ``depth`` centers of a branch.
-
-    Returns (cluster, node path); depth 0 gives (empty cluster, []).
-    """
-    if depth <= 0:
-        return Cluster([]), []
-    steps = branch_steps(base, series, depth)
-    cl = chain_cluster(base, steps)
-    return cl, list(range(depth))

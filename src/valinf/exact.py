@@ -18,7 +18,13 @@ from .errors import IndeterminateForm
 
 
 def _q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction, from a Fraction, an int or a string such as
+    "3/4"; a float is not an exact rational and raises TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"not an exact rational: {x!r}")
 
 
 def rational_root(q: Fraction, m: int):
@@ -39,16 +45,6 @@ def rational_root(q: Fraction, m: int):
     return Fraction(-int(rn) if q < 0 else int(rn), int(rd))
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
 class Ext:
     """A rational number, or one of the two infinities.
 
@@ -63,7 +59,7 @@ class Ext:
             self.q = None
         else:
             self.kind = 0
-            self.q = _as_fraction(value)
+            self.q = _q(value)
 
     # -- constructors -------------------------------------------------
 
@@ -226,7 +222,7 @@ class TPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_q(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -274,7 +270,7 @@ class TPoly:
         return TPoly(out)
 
     def scale(self, c) -> "TPoly":
-        c = _as_fraction(c)
+        c = _q(c)
         return TPoly([c * a for a in self.coeffs])
 
     def __eq__(self, other):
@@ -386,7 +382,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveRe
 
     Solves A x = b (b defaults to 0) and also returns a kernel basis.
     """
-    rows = [[_as_fraction(e) for e in row] for row in A]
+    rows = [[_q(e) for e in row] for row in A]
     m = len(rows)
     n = len(rows[0]) if m else 0
     for row in rows:
@@ -395,7 +391,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveRe
     if b is None:
         rhs = [Fraction(0)] * m
     else:
-        rhs = [_as_fraction(e) for e in b]
+        rhs = [_q(e) for e in b]
         if len(rhs) != m:
             raise ValueError("dimension mismatch")
 
@@ -446,7 +442,7 @@ def _integer_rows(A: Sequence[Sequence]):
             rows.append(list(row))
             scales.append(1)
             continue
-        row = [_as_fraction(e) for e in row]
+        row = [_q(e) for e in row]
         s = lcm(*(e.denominator for e in row))
         rows.append([e.numerator * (s // e.denominator) for e in row])
         scales.append(s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InsufficientTruncation, TruncationUnderflow
 from .exact import _q
@@ -34,6 +34,16 @@ def _min_order(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def _integer_terms(coeffs: dict):
+    """([(e, n_e)] in increasing e, D) with coeffs[e] = n_e / D, for D
+    the least common denominator."""
+    den = 1
+    for c in coeffs.values():
+        den = lcm(den, c.denominator)
+    return [(e, coeffs[e].numerator * (den // coeffs[e].denominator))
+            for e in sorted(coeffs)], den
 
 
 class TruncSeries2:
@@ -230,6 +240,15 @@ class LaurentSeries:
         self.prec = prec
 
     @staticmethod
+    def unchecked(coeffs: dict, prec) -> "LaurentSeries":
+        """A series from coefficients that are already nonzero Fractions
+        at exponents below ``prec``; they are not checked again."""
+        out = object.__new__(LaurentSeries)
+        out.coeffs = coeffs
+        out.prec = prec
+        return out
+
+    @staticmethod
     def monomial(e: int, c=1, prec=None) -> "LaurentSeries":
         return LaurentSeries({e: _q(c)}, prec)
 
@@ -270,6 +289,16 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        """The product, exact below the least of f.prec + ord g and
+        g.prec + ord f.
+
+        Cost: the coefficients of each factor are integer numerators over
+        that factor's common denominator, and both factors are walked in
+        exponent order, stopping at the product's precision.  So it takes
+        one integer product per pair of terms whose exponent sum lies
+        below the precision, and one normalized Fraction per output
+        coefficient.
+        """
         prec = None
         if self.prec is not None:
             og = min(other.coeffs) if other.coeffs else 0
@@ -277,14 +306,26 @@ class LaurentSeries:
         if other.prec is not None:
             of = min(self.coeffs) if self.coeffs else 0
             prec = _min_order(prec, other.prec + of)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        if not self.coeffs or not other.coeffs:
+            return LaurentSeries.unchecked({}, prec)
+        terms1, d1 = _integer_terms(self.coeffs)
+        terms2, d2 = _integer_terms(other.coeffs)
+        top = terms1[-1][0] + terms2[-1][0] + 1
+        if prec is not None and prec < top:
+            top = prec
+        acc = {}
+        low2 = terms2[0][0]
+        for e1, n1 in terms1:
+            if e1 + low2 >= top:
+                break
+            for e2, n2 in terms2:
                 e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentSeries(out, prec)
+                if e >= top:
+                    break
+                acc[e] = acc.get(e, 0) + n1 * n2
+        den = d1 * d2
+        return LaurentSeries.unchecked(
+            {e: Fraction(n, den) for e, n in acc.items() if n}, prec)
 
     def scale(self, c) -> "LaurentSeries":
         c = _q(c)
@@ -301,34 +342,40 @@ class LaurentSeries:
 
         The inverse of an exact non-monomial is an infinite series; its
         relative precision is taken from ``prec_hint`` (default 32).
+
+        Cost: 1/f = t^-o / c_o * g, for g = 1 / (1 + sum_j h_j t^j) with
+        h_j = c_(o+j) / c_o.  g_k is nonzero only at multiples k of d,
+        the gcd of the exponents j, so the recurrence
+        g_k = -sum_j h_j g_(k-j) steps through those k alone.  It takes
+        one Fraction product per pair of such a k below the working
+        precision and a nonzero h_j, j <= k, with g_(k-j) nonzero.
         """
         o = self.order()
         lead = self.coeffs[o]
-        h = {}
-        for e, c in self.coeffs.items():
-            if e != o:
-                h[e - o] = c / lead
-        if not h:
+        if len(self.coeffs) == 1:
             # exact monomial up to stored precision
             prec = None if self.prec is None else self.prec - 2 * o
-            return LaurentSeries({-o: Fraction(1) / lead}, prec)
+            return LaurentSeries.unchecked({-o: 1 / lead}, prec)
         if self.prec is None:
             work = prec_hint if prec_hint is not None else 32
         else:
             work = self.prec - o
-        # coefficients of 1/(1 + h) by the convolution recurrence
+        h = [(e - o, self.coeffs[e] / lead) for e in sorted(self.coeffs)[1:]]
+        d = gcd(*(j for j, _ in h))
         g = {0: Fraction(1)}
-        for k in range(1, work):
-            s = Fraction(0)
-            for j, c in h.items():
-                if j <= k:
-                    gk = g.get(k - j)
-                    if gk is not None:
-                        s += c * gk
+        for k in range(d, work, d):
+            s = 0
+            for j, c in h:
+                if j > k:
+                    break
+                gk = g.get(k - j)
+                if gk is not None:
+                    s += c * gk
             if s:
                 g[k] = -s
-        inv = LaurentSeries(g, work)
-        return inv.scale(Fraction(1) / lead).shift(-o)
+        inv = 1 / lead
+        return LaurentSeries.unchecked(
+            {k - o: c * inv for k, c in g.items() if k < work}, work - o)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self * other.inverse()

@@ -1,5 +1,6 @@
 """Slow reference computations kept only as test oracles."""
 
+from valinf.cluster import Cluster, branch_steps, chain_cluster
 from valinf.exact import SymMatrixExt, sign_at_neg_infinity
 
 
@@ -12,3 +13,15 @@ def is_negative_definite(M: SymMatrixExt) -> bool:
         if sign != want:
             return False
     return True
+
+
+def branch_to_nodes(base, series, depth: int):
+    """Cluster through the first ``depth`` centers of a branch.
+
+    Returns (cluster, node path); depth 0 gives (empty cluster, []).
+    """
+    if depth <= 0:
+        return Cluster([]), []
+    steps = branch_steps(base, series, depth)
+    cl = chain_cluster(base, steps)
+    return cl, list(range(depth))

@@ -298,6 +298,81 @@ def test_inverse_matches_the_dense_recurrence(f, hint):
         assert out == want
 
 
+# distinct primes near 10^6: a product sums its terms over each factor's
+# common denominator, which is then the product of these primes
+PRIMES = (999_983, 999_979, 999_961, 999_959, 999_953, 999_931, 999_917,
+          999_907, 999_883)
+numerators = st.integers(-10 ** 12, 10 ** 12).filter(bool)
+
+
+@st.composite
+def coprime_laurent(draw, nonzero=False):
+    """A Laurent series, exact or truncated, with large numerators over
+    pairwise coprime denominators near 10^6."""
+    stride = draw(st.sampled_from([1, 1, 2, 3]))
+    low = draw(st.integers(-4, 4))
+    exps = draw(st.lists(st.integers(0, 10), unique=True,
+                         max_size=len(PRIMES)))
+    if nonzero and 0 not in exps:
+        exps.append(0)
+    dens = draw(st.permutations(PRIMES))
+    coeffs = {low + stride * k: F(draw(numerators), p)
+              for k, p in zip(exps, dens)}
+    prec = draw(st.none() | st.integers(low + 1, low + 30))
+    return LaurentSeries(coeffs, prec)
+
+
+def assert_normal(s):
+    """Every stored coefficient is a nonzero Fraction below the
+    precision."""
+    for e, c in s.coeffs.items():
+        assert type(c) is Fraction and c != 0
+        assert s.prec is None or e < s.prec
+
+
+def assert_same(out, want):
+    assert (out.coeffs, out.prec) == (want.coeffs, want.prec)
+    assert_normal(out)
+
+
+@derandomized
+@given(coprime_laurent(), coprime_laurent())
+def test_product_over_coprime_denominators(f, g):
+    assert_same(f * g, dense_mul(f, g))
+
+
+@derandomized
+@given(coprime_laurent())
+def test_product_whose_odd_terms_cancel(f):
+    # f(t) * f(-t) is even: every odd exponent sums to zero
+    g = LaurentSeries({e: -c if e % 2 else c for e, c in f.coeffs.items()},
+                      f.prec)
+    out = f * g
+    assert_same(out, dense_mul(f, g))
+    assert all(e % 2 == 0 for e in out.coeffs)
+
+
+@derandomized
+@given(coprime_laurent(), st.none() | st.integers(-5, 30))
+def test_product_with_an_empty_factor(f, prec):
+    zero = LaurentSeries({}, prec)
+    for out, want in ((f * zero, dense_mul(f, zero)),
+                      (zero * f, dense_mul(zero, f))):
+        assert_same(out, want)
+        assert out.coeffs == {}
+
+
+@derandomized
+@given(coprime_laurent(nonzero=True), st.none() | st.integers(0, 40))
+def test_inverse_over_coprime_denominators(f, hint):
+    out = outcome(f.inverse, hint)
+    want = outcome(dense_inverse, f, hint)
+    if isinstance(want, LaurentSeries):
+        assert_same(out, want)
+    else:
+        assert out == want
+
+
 bases = st.sampled_from([PY, PointAtInfinity("x"), PointAtInfinity("x", 1)])
 
 
@@ -549,3 +624,59 @@ def test_segment_search_walks_its_branch_once(counted):
     steps += [Free(F(8414640)), SatU()]
     assert path_key(d) == (PY, tuple(steps))
     assert skewness(d).q == F(-5, 2)
+
+
+# ---------------------------------------------------------------------------
+# the walk state keeps U^-1 and V^-1
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def inverted(monkeypatch):
+    """Records each series that LaurentSeries.inverse is called on."""
+    calls = []
+    inverse = LaurentSeries.inverse
+
+    def recording_inverse(self, prec_hint=None):
+        calls.append(self)
+        return inverse(self, prec_hint)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", recording_inverse)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_a_run_of_satu_centers_inverts_v_once(inverted, k):
+    # y = x^(1/m) + x^(2/m) for m = k + 1: ord V = 1, and each SatU
+    # center lowers ord U by one until it is 1
+    s = PuiseuxSeries.make(k + 1, {1: 1, 2: 1}, 2, exact=True)
+    assert BranchWalk(s).steps(k + 2) == [SatU()] * k + [Free(F(1))]
+    # V once for the k SatU centers, then U once for the free one
+    assert len(inverted) == 2
+    assert inverted[0].coeffs == s.tau_series().coeffs
+
+
+def test_each_run_inverts_its_divisor_once(inverted):
+    # y = x^(1/2) + x^(2/3): SatU, a free center, two SatU, free centers;
+    # the free center changes V, so the second run inverts the new V
+    s = PuiseuxSeries.make(6, {3: 1, 4: 1}, 4, exact=True)
+    steps = BranchWalk(s).steps(10)
+    assert steps[:5] == [SatU(), Free(F(1)), SatU(), SatU(), Free(F(8))]
+    assert all(isinstance(step, Free) for step in steps[5:])
+    assert len(inverted) == 4
+
+
+def test_baseline_branch_at_depth_40():
+    # the steps that the walk gave with Fraction series kernels
+    s = PuiseuxSeries.make(6, [(1, 1), (3, 2), (5, -1), (7, 3)], 40,
+                           exact=True)
+    free = [1, 12, 294, 9118, 318555, 11960982, 471347227, 19229903070,
+            805284114447, 34416150024520, 1495078913492424,
+            65822815028949078, 2930477251021552700, 131707082128436276346,
+            5967683411007854907180, 272308492053830468102848,
+            12502455652705703346264735]
+    want = [SatU()] * 5
+    for c in free:
+        want += [Free(F(c)), Free(F(0))]
+    assert len(want) == 39
+    assert branch_steps(PY, s, 40) == want

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import branch_to_nodes
 from valinf.cluster import (MAX_CHAIN_STEPS, Cluster, Free, LINF, Node,
                             PointAtInfinity, SatU, SatV, branch_steps,
-                            branch_to_nodes, chain_cluster,
-                            eval_divisorial, merge_paths, monomial_to_node,
-                            ord_along_path)
+                            chain_cluster, eval_divisorial, merge_paths,
+                            monomial_to_node, ord_along_path)
 from valinf.errors import InvalidCluster, RootValuation, ZeroPolynomial
 from valinf.randomized import random_cluster
 from valinf.series import PuiseuxSeries

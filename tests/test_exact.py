@@ -8,6 +8,7 @@ from valinf.exact import (Ext, IndeterminateForm, NEG_INF, POS_INF,
                           SymMatrixExt, TPoly, chi_det, det, ext_sum,
                           invert_matrix, limit_at_neg_infinity,
                           sign_at_neg_infinity, solve_linear)
+from valinf.series import LaurentSeries, PuiseuxSeries
 
 F = Fraction
 derandomized = settings(derandomize=True, max_examples=200, deadline=None)
@@ -257,3 +258,21 @@ def test_chi_det_and_sylvester_match_minor_expansion(M):
 def test_det_rejects_non_square():
     with pytest.raises(ValueError):
         det([[1, 2]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: Ext(x),
+    lambda x: TPoly([1, x]),
+    lambda x: solve_linear([[1, x]]),
+    lambda x: solve_linear([[1]], [x]),
+    lambda x: LaurentSeries({0: 1, 2: x}),
+    lambda x: PuiseuxSeries.make(2, {1: x}, 1),
+], ids=["Ext", "TPoly", "solve_linear", "solve_linear_rhs", "LaurentSeries",
+        "PuiseuxSeries.make"])
+def test_floats_are_rejected(build):
+    # a float is not an exact rational; ints, Fractions and "p/q" are
+    with pytest.raises(TypeError, match="not an exact rational: 0.5"):
+        build(0.5)
+    build(F(1, 2))
+    build("1/2")
+    build(3)

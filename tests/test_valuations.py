@@ -118,7 +118,7 @@ class TestOrderAndMeet:
 
     def test_curve_vs_deep_center(self):
         # pencil divisor E8 lies below the branch
-        from valinf.cluster import branch_to_nodes
+        from oracles import branch_to_nodes
         cl, path = branch_to_nodes(PY, CUSP_BRANCH.branch.series, 9)
         e8 = Divisorial(cl, 8)
         assert compare(e8, CUSP_BRANCH) == Comparison.LT
