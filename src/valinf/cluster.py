@@ -97,7 +97,9 @@ class Cluster:
 
     It caches its geometry and, for the last ``STRICT_MEMO_POLYS``
     polynomials evaluated on it, the strict transform and ord at every
-    node reached so far (see ``ord_along_path``).
+    node reached so far (see ``ord_along_path``).  A cluster made by a
+    ``PathTrie`` shares that memo, and the per-node geometry rows until
+    its geometry is built, with the trie's other clusters.
     """
 
     STRICT_MEMO_POLYS = 8
@@ -105,6 +107,7 @@ class Cluster:
     def __init__(self, nodes):
         self.nodes = tuple(nodes)
         self._geometry = None
+        self._rows = None
         self._strict = {}
         self._validate()
 
@@ -166,40 +169,83 @@ class Cluster:
     def geometry(self) -> "GeometryTable":
         if self._geometry is None:
             self._geometry = build_geometry(self)
+            self._rows = None
         return self._geometry
 
 
+class PathTrie:
+    """A union of center paths that grows, one cluster per ``add``.
+
+    It owns the node list and its index keyed by (parent index, step),
+    with the roots keyed by (-1, base).  Each ``add(paths)`` puts in the
+    nodes not yet there, numbered in order of first appearance, and
+    returns ``(Cluster, ends)``: the new cluster's nodes extend those of
+    the previous one with the same indices.
+
+    What depends only on a node's own center path is computed once per
+    trie and shared by all its clusters: the geometry rows (strict
+    transforms of x and y, ord_x, ord_y, ord_w and b; see
+    ``build_geometry``) and the strict-transform memo of evaluated
+    polynomials.  So a caller that deepens its paths round by round
+    transforms each node once, and each round's geometry only redoes the
+    intersection matrix, the dual tree, skewness and thinness.
+
+    Cost: ``add`` is one dict lookup per step of the given paths, plus a
+    validation linear in the size of the cluster; the cluster's geometry
+    then costs O(n) for n nodes plus the transforms of the nodes that no
+    earlier cluster of the trie reached.  A one-shot trie
+    (``merge_paths``, ``chain_cluster``) costs what a single merge and
+    build cost, and its cluster keeps nothing more once its geometry is
+    built.
+    """
+
+    __slots__ = ("nodes", "_index", "_rows", "_strict")
+
+    def __init__(self):
+        self.nodes = []
+        self._index = {}
+        self._rows = []
+        self._strict = {}
+
+    def add(self, paths):
+        """Merge ``paths``, each (base, steps); returns (Cluster, node
+        index per path end).  After an add that raised InvalidCluster the
+        trie holds the invalid nodes, so it is not to be used again."""
+        nodes, index = self.nodes, self._index
+        ends = []
+        for base, steps in paths:
+            i = index.get((-1, base))
+            if i is None:
+                i = index[(-1, base)] = len(nodes)
+                nodes.append(Node(parent=-1, base=base, step=None))
+            for st in steps:
+                child = index.get((i, st))
+                if child is None:
+                    child = index[(i, st)] = len(nodes)
+                    nodes.append(Node(parent=i, base=None, step=st))
+                i = child
+            ends.append(i)
+        cl = Cluster(nodes)
+        cl._rows = self._rows
+        cl._strict = self._strict
+        return cl, ends
+
+
 def chain_cluster(base: PointAtInfinity, steps) -> Cluster:
-    nodes = [Node(parent=-1, base=base, step=None)]
-    for k, st in enumerate(steps):
-        nodes.append(Node(parent=k, base=None, step=st))
-    return Cluster(nodes)
+    """The chain of centers ``steps`` above ``base``: node k + 1 is the
+    center after step k."""
+    return PathTrie().add([(base, steps)])[0]
 
 
 def merge_paths(paths):
     """Union of center paths; returns (Cluster, node index per path end).
 
-    Each path is (base, steps).  Paths sharing a prefix share nodes: the
-    paths go into a trie keyed by (parent index, step), with the roots
-    keyed by (-1, base), so the cost is linear in the total path length.
-    Nodes are numbered in order of first appearance.
+    Each path is (base, steps).  Paths sharing a prefix share nodes.  A
+    one-shot ``PathTrie``: the cost is linear in the total path length,
+    and nodes are numbered in order of first appearance.  Callers that
+    deepen their paths hold a ``PathTrie`` instead.
     """
-    nodes = []
-    index = {}
-    ends = []
-    for base, steps in paths:
-        i = index.get((-1, base))
-        if i is None:
-            i = index[(-1, base)] = len(nodes)
-            nodes.append(Node(parent=-1, base=base, step=None))
-        for st in steps:
-            child = index.get((i, st))
-            if child is None:
-                child = index[(i, st)] = len(nodes)
-                nodes.append(Node(parent=i, base=None, step=st))
-            i = child
-        ends.append(i)
-    return Cluster(nodes), ends
+    return PathTrie().add(paths)
 
 
 # ---------------------------------------------------------------------------
@@ -342,31 +388,62 @@ class GeometryTable:
         return out[::-1]
 
 
+def _extend_rows(rows: list, cl: Cluster):
+    """Append the geometry rows of the nodes of ``cl`` past ``rows``.
+
+    Node i's row is (strict transform of x, of y, ord_x, ord_y, ord_w, b)
+    at its center.  It depends only on the node's own center path (its
+    parent and axes are on that path), so clusters whose node lists
+    extend one another share one list of rows.
+    """
+    def ords(k):
+        return (-1, -1, -3) if k == LINF else rows[k][2:5]
+
+    for i in range(len(rows), len(cl)):
+        nd = cl.nodes[i]
+        if nd.parent == -1:
+            if nd.base.chart == "x":
+                fx = TruncSeries2.const(1)
+                fy = TruncSeries2({(0, 1): Fraction(1), (0, 0): -nd.base.c})
+            else:
+                fx = TruncSeries2.var_v()
+                fy = TruncSeries2.const(1)
+        else:
+            pfx, pfy = rows[nd.parent][:2]
+            fx = step_transform(pfx, nd.step, pfx.mult())
+            fy = step_transform(pfy, nd.step, pfy.mult())
+        ua, va = cl.axes[i]
+        ox, oy, ow = ords(ua)
+        if va is not None:
+            vx, vy, vw = ords(va)
+            ox, oy, ow = ox + vx, oy + vy, ow + vw
+        ox += fx.mult()
+        oy += fy.mult()
+        b = -min(ox, oy)
+        if b <= 0:
+            raise InternalMismatch(f"non-positive b at node {i}")
+        rows.append((fx, fy, ox, oy, ow + 1, b))
+
+
 def build_geometry(cl: Cluster) -> GeometryTable:
+    """The boundary geometry of a cluster.
+
+    Cost: the rows of ``_extend_rows`` for the nodes not yet in the rows
+    the cluster shares with its ``PathTrie`` (all nodes for a cluster
+    built alone), each two strict transforms; then a pass linear in the
+    n nodes for the intersection matrix, the dual tree, skewness and
+    thinness.
+    """
     n = len(cl)
+    rows = cl._rows if cl._rows is not None else []
+    _extend_rows(rows, cl)
     comps = [LINF] + list(range(n))
     inter = {(LINF, LINF): 1}
     ord_x = {LINF: -1}
     ord_y = {LINF: -1}
     ord_w = {LINF: -3}
-
-    # strict series of x and y at every node, by forest DFS in index order
-    fx = [None] * n
-    fy = [None] * n
-    for i, nd in enumerate(cl.nodes):
-        if nd.parent == -1:
-            if nd.base.chart == "x":
-                fx[i] = TruncSeries2.const(1)
-                fy[i] = TruncSeries2({(0, 1): Fraction(1), (0, 0): -nd.base.c})
-            else:
-                fx[i] = TruncSeries2.var_v()
-                fy[i] = TruncSeries2.const(1)
-        else:
-            p = nd.parent
-            fx[i] = step_transform(fx[p], nd.step, fx[p].mult())
-            fy[i] = step_transform(fy[p], nd.step, fy[p].mult())
-
-    for i, nd in enumerate(cl.nodes):
+    b = {LINF: 1}
+    for i in range(n):
         ua, va = cl.axes[i]
         through = [ua] + ([va] if va is not None else [])
         inter[(i, i)] = -1
@@ -379,18 +456,10 @@ def build_geometry(cl: Cluster) -> GeometryTable:
                 raise InvalidCluster(
                     f"node {i}: satellite boundaries do not meet")
             inter[(a, b2)] = inter[(b2, a)] = 0
-        ord_x[i] = sum(ord_x[bc] for bc in through) + fx[i].mult()
-        ord_y[i] = sum(ord_y[bc] for bc in through) + fy[i].mult()
-        ord_w[i] = sum(ord_w[bc] for bc in through) + 1
+        _, _, ord_x[i], ord_y[i], ord_w[i], b[i] = rows[i]
 
-    b = {LINF: 1}
-    for i in range(n):
-        bi = -min(ord_x[i], ord_y[i])
-        if bi <= 0:
-            raise InternalMismatch(f"non-positive b at node {i}")
-        b[i] = bi
-
-    # dual tree from adjacency
+    # dual tree from adjacency, and skewness by the edge recursion along
+    # it: breadth first, so a parent's alpha is known before its children's
     adj = {c: [] for c in comps}
     for (a, b2), v in inter.items():
         if a != b2 and v != 0:
@@ -399,26 +468,18 @@ def build_geometry(cl: Cluster) -> GeometryTable:
             adj[a].append(b2)
     parent = {LINF: None}
     depth = {LINF: 0}
+    alpha = {LINF: Fraction(1)}
     queue = [LINF]
-    seen = {LINF}
-    while queue:
-        c = queue.pop(0)
+    for c in queue:
         for nb in adj[c]:
-            if nb in seen:
+            if nb in parent:
                 continue
-            seen.add(nb)
             parent[nb] = c
             depth[nb] = depth[c] + 1
+            alpha[nb] = alpha[c] - Fraction(1, b[c] * b[nb])
             queue.append(nb)
-    if len(seen) != len(comps):
+    if len(parent) != len(comps):
         raise InternalMismatch("dual graph is not connected")
-
-    # skewness by the edge recursion along the dual tree
-    alpha = {LINF: Fraction(1)}
-    order = sorted(comps[1:], key=lambda c: depth[c])
-    for c in order:
-        p = parent[c]
-        alpha[c] = alpha[p] - Fraction(1, b[p] * b[c])
 
     thin = {LINF: Fraction(-2)}
     for i in range(n):
@@ -504,6 +565,13 @@ def eval_divisorial(cl: Cluster, node: int, P: dict) -> Fraction:
 
 # longest weight chain built: (1, 10^400) would fill memory for ever
 MAX_CHAIN_STEPS = 1024
+# largest ramification index m of a curve read from a scenario, and
+# largest truncation K of one that is not exact: on 2 vCPUs a meet with
+# the one-step divisorial Free(1) at base y takes 0.5 s for the exact
+# curve x_q^(1/m) at the cap on m, and about 2 s for the truncated curve
+# x_q^(1/3) + 5 x_q^(2/3) at the cap on K (3.9 s at K = 2,000)
+MAX_CURVE_M = 10_000
+MAX_CURVE_K = 1_600
 
 
 def weight_chain_steps(a: int, b: int):

@@ -13,9 +13,8 @@ from functools import lru_cache
 from math import gcd
 
 from . import poly
-from .cluster import (BranchWalk, PointAtInfinity, PuiseuxBranch,
-                      base_strict_series, chain_cluster, eval_divisorial,
-                      merge_paths, LINF)
+from .cluster import (BranchWalk, PathTrie, PointAtInfinity, PuiseuxBranch,
+                      base_strict_series, eval_divisorial, LINF)
 from .errors import (InternalMismatch, NeedsFieldExtension,
                      PreconditionViolated, PrecisionExceeded, ZeroOrConstant)
 from .exact import Ext, _q, ext_sum, rational_root
@@ -340,17 +339,20 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     ram = branch.series.m
 
     # dual-path profile [(skewness, multiplicity)] from the root down,
-    # extended on demand
+    # extended on demand; each +8 round adds its centers to one trie, so
+    # its geometry transforms only the new nodes
     state = {"depth": 8, "profile": None, "cl": None, "path": None}
     walk = BranchWalk(branch.series)
+    trie = PathTrie()
 
     def extend_profile(below: Ext):
         if state["profile"] is not None and state["profile"][-1][0] < below:
             return
         while True:
-            cl = chain_cluster(branch.base, walk.steps(state["depth"]))
+            cl, (end,) = trie.add(
+                [(branch.base, walk.steps(state["depth"]))])
             g = cl.geometry()
-            dp = g.dual_path(len(cl) - 1)
+            dp = g.dual_path(end)
             prof = [(Ext(g.alpha[n]), g.b[n]) for n in dp]
             state.update(profile=prof, cl=cl, path=dp)
             if prof[-1][0] < below:
@@ -426,16 +428,24 @@ def logplus_laplacian(Q: dict, K=None, materialize=True) -> DiscreteMeasure:
 
     With materialize=True interior atoms are realized as divisorial
     valuations; otherwise they stay segment points, which is cheaper.
+
+    Cost: a branch whose crossing is not yet on its dual path is deepened
+    by 4 centers and the round is redone.  The rounds grow one
+    ``PathTrie``, and v(Q) is kept by node index (a node's value depends
+    only on its center path), so over all rounds each node is
+    transformed once for x and y, Q is evaluated once per dual-path
+    node, and a round costs O(n) on the n nodes besides.
     """
     pairs = weighted_branches(Q, K)
     walks = [BranchWalk(b.series) for b, _ in pairs]
     depths = [6] * len(pairs)
+    trie = PathTrie()
+    vals = {LINF: Fraction(-poly.degree(Q))}
     while True:
         paths = [(b.base, tuple(walks[i].steps(depths[i])))
                  for i, (b, _) in enumerate(pairs)]
-        merged, ends = merge_paths(paths)
+        merged, ends = trie.add(paths)
         g = merged.geometry()
-        vals = {LINF: Fraction(-poly.degree(Q))}
         atoms = []
         redo = False
         for i, (b, e) in enumerate(pairs):

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 from . import poly
 from .adelic import ARCH, AdelicBranch
-from .cluster import Free, PointAtInfinity, SatU, SatV, chain_cluster
+from .cluster import (MAX_CURVE_K, MAX_CURVE_M, Free, PointAtInfinity, SatU,
+                      SatV, chain_cluster)
 from .errors import PolynomialSyntaxError, ScenarioError
 from .exact import Ext, NEG_INF, POS_INF
 from .puiseux import branches_at_infinity
@@ -45,10 +46,13 @@ def _at(*keys):
         raise
 
 
+_KINDS = {dict: "an object", list: "a list", bool: "true or false"}
+
+
 def _field(obj, key, *default, kind=None, parse=None):
-    """obj[key] of a JSON object, checked to be a ``kind`` (dict, list or
-    int) if given and passed through ``parse`` if given; a ScenarioError
-    about the field has ``key`` on its JSON path."""
+    """obj[key] of a JSON object, checked to be a ``kind`` (dict, list,
+    bool or int) if given and passed through ``parse`` if given; a
+    ScenarioError about the field has ``key`` on its JSON path."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"expected an object with field {key!r}, "
                             f"got {obj!r}")
@@ -60,8 +64,7 @@ def _field(obj, key, *default, kind=None, parse=None):
             out = _int(out, key)
         elif kind is not None and key in obj and not isinstance(out, kind):
             raise ScenarioError(
-                f"field {key!r} must be "
-                f"{'an object' if kind is dict else 'a list'}, got {out!r}")
+                f"field {key!r} must be {_KINDS[kind]}, got {out!r}")
         return out if parse is None else parse(out)
 
 
@@ -74,11 +77,14 @@ def _polynomial(text) -> dict:
 
 
 def _int(x, key) -> int:
+    """A JSON integer, or a string of one (exponents are JSON keys); a
+    float or a bool is not one."""
     try:
-        return int(x)
-    except (TypeError, ValueError):
-        raise ScenarioError(
-            f"field {key!r} must be an integer, got {x!r}") from None
+        if isinstance(x, (int, str)) and not isinstance(x, bool):
+            return int(x)
+    except ValueError:
+        pass
+    raise ScenarioError(f"field {key!r} must be an integer, got {x!r}")
 
 
 def format_rational(q: Fraction) -> str:
@@ -155,14 +161,21 @@ def parse_valuation(obj) -> Valuation:
     if kind == "curve":
         base = _field(obj, "base", parse=_parse_base)
         m = _field(obj, "m", kind=int)
+        if m > MAX_CURVE_M:
+            raise ScenarioError(f"ramification m = {m} is above the cap "
+                                f"{MAX_CURVE_M}", path=("m",))
         coeffs = {}
         for k, v in _field(obj, "coefficients", {}, kind=dict).items():
             with _at("coefficients", k):
                 coeffs[_int(k, "coefficients")] = parse_rational(v)
         K = _field(obj, "K", max(coeffs, default=0) + 1, kind=int)
+        exact = _field(obj, "exact", False, kind=bool)
+        if not exact and K > MAX_CURVE_K:
+            raise ScenarioError(f"truncation K = {K} of a curve that is not "
+                                f"exact is above the cap {MAX_CURVE_K}",
+                                path=("K",))
         try:
-            return curve_of_series(base, m, coeffs, K,
-                                   exact=bool(_field(obj, "exact", False)))
+            return curve_of_series(base, m, coeffs, K, exact=exact)
         except ValueError as e:
             raise ScenarioError(f"curve series: {e}") from None
     raise ScenarioError(f"unknown valuation kind {kind!r}", path=("kind",))

@@ -273,9 +273,6 @@ class LaurentSeries:
     def leading(self) -> Fraction:
         return self.coeffs[self.order()]
 
-    def truncate(self, prec) -> "LaurentSeries":
-        return LaurentSeries(self.coeffs, _min_order(self.prec, prec))
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -332,10 +329,6 @@ class LaurentSeries:
         if c == 0:
             return LaurentSeries({}, self.prec)
         return LaurentSeries({e: c * a for e, a in self.coeffs.items()}, self.prec)
-
-    def shift(self, k: int) -> "LaurentSeries":
-        prec = None if self.prec is None else self.prec + k
-        return LaurentSeries({e + k: c for e, c in self.coeffs.items()}, prec)
 
     def inverse(self, prec_hint=None) -> "LaurentSeries":
         """Multiplicative inverse; requires a certified leading term.

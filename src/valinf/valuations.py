@@ -13,9 +13,9 @@ from enum import Enum
 from fractions import Fraction
 
 from . import poly
-from .cluster import (BranchWalk, Cluster, PuiseuxBranch, PointAtInfinity,
-                      diverging_steps, eval_divisorial, merge_paths,
-                      monomial_to_node, weight_chain, LINF)
+from .cluster import (BranchWalk, Cluster, PathTrie, PuiseuxBranch,
+                      PointAtInfinity, diverging_steps, eval_divisorial,
+                      merge_paths, monomial_to_node, weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
 from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
 from .series import LaurentSeries, PuiseuxSeries, powers
@@ -234,11 +234,15 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
     if c.branch.base != target[0]:
         return ROOT
     walk = BranchWalk(c.branch.series)
+    # the probes only deepen c's path, so they grow one trie: each center
+    # is transformed once, and the nodes are numbered as in a one-shot
+    # merge at the last depth
+    trie = PathTrie()
 
     def meet_at(depth):
         """The meet read off the first ``depth`` centers of c, or None
         while their end is on the dual path of v's divisor."""
-        merged, (et, ec) = merge_paths(
+        merged, (et, ec) = trie.add(
             [target, (c.branch.base, tuple(walk.steps(depth)))])
         lca = merged.geometry().lca(et, ec)
         return None if lca == ec else _wrap_lca(lca, merged, v, c)

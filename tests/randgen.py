@@ -49,3 +49,16 @@ def random_mixed_set(rng: random.Random, max_size=5):
             cl = random_cluster(rng, max_nodes=5)
             out.append(Divisorial(cl, rng.randrange(len(cl))))
     return out
+
+
+def random_path_batches(rng: random.Random, n_batches=3):
+    """Batches of center paths (base, steps) for a ``PathTrie``.
+
+    The paths are node keys of one random cluster, so they are valid and
+    share prefixes; later batches repeat, extend and branch off the paths
+    of earlier ones, as the rounds of a deepening search do.
+    """
+    cl = random_cluster(rng, max_nodes=14, n_roots=rng.choice([1, 1, 2]))
+    keys = [cl.key(i) for i in range(len(cl))]
+    return [[rng.choice(keys) for _ in range(rng.randint(1, 4))]
+            for _ in range(n_batches)]

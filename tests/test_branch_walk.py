@@ -82,8 +82,10 @@ def dense_inverse(f, prec_hint=None):
                     s += c * gk
         if s:
             g[k] = -s
-    inv = LaurentSeries(g, work)
-    return inv.scale(Fraction(1) / lead).shift(-o)
+    inv = LaurentSeries(g, work).scale(Fraction(1) / lead)
+    # multiplied by t^-o
+    return LaurentSeries({e - o: c for e, c in inv.coeffs.items()},
+                         inv.prec - o)
 
 
 def prefix_merge_paths(paths):

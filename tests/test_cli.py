@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from valinf import cli
 from valinf.cli import main
+from valinf.cluster import MAX_CURVE_K, MAX_CURVE_M
 
 SCENARIO = {
     "format": 1,
@@ -285,6 +286,26 @@ def test_meet_merges_a_deep_path_in_linear_time(tmp_path, capsys):
     assert rc == 0 and "alpha = 2999/3000" in out
 
 
+@pytest.mark.parametrize("fields, field", [
+    ({"m": 2.5}, "valuations.c.m: "),
+    ({"m": True}, "valuations.c.m: "),
+    ({"m": MAX_CURVE_M + 1}, "valuations.c.m: "),
+    ({"K": MAX_CURVE_K + 1, "exact": False}, "valuations.c.K: "),
+    ({"exact": "false"}, "valuations.c.exact: "),
+], ids=["m-float", "m-bool", "m-above-cap", "K-above-cap", "exact-string"])
+def test_bad_curve_field_in_a_meet_exits_2(tmp_path, capsys, fields, field):
+    # "m": 2.5 was read as m = 2, and the meet answered alpha = 1/2
+    doc = {"format": 1, "valuations": {
+        "c": {"kind": "curve", "base": {"chart": "y"}, "m": 3,
+              "coefficients": {"1": "1"}, "exact": True, **fields},
+        "d": {"kind": "divisorial", "base": {"chart": "y"},
+              "steps": [{"type": "free", "c": "1"}]}}}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "meet", "-f", str(p), "c", "d")
+    assert rc == 2 and out == "" and err.startswith("error: " + field)
+
+
 def test_duplicate_name_exits_2(scfile, capsys):
     rc, out, err = run(capsys, "classify", "-f", scfile, "m1", "m1")
     assert rc == 2 and err.startswith("error:") and "'m1'" in err
@@ -319,6 +340,10 @@ FUZZ_BASE = _with(valuations=dict(SCENARIO["valuations"], d1={
 RETYPED = [None, True, 0, -1, 7, 1.5, "abc", [], {}]
 # "1e400" is a rational, but v_{-1,1e400} asks for 10^400 blowups
 BAD_RATIONALS = ["1/0", "", "2/3/4", "0x10", "1e400"]
+# JSON values that are not the integer or boolean a field claims to be, and
+# sizes past the curve caps
+BAD_INTEGERS = [2.5, 3.0, True, False, "false", "3", MAX_CURVE_M + 1,
+                MAX_CURVE_K + 1]
 BAD_STEPS = [{"type": "bogus"}, {"type": "satellite-v"},
              {"type": "free", "c": "0"}, {"type": "free", "c": [1]}, {}]
 BAD_POLYNOMIALS = ["x^", "x/y", "0", "x^65", "(x+y+1)^160",
@@ -348,6 +373,8 @@ def _targets(doc, kind):
         return [p for p in paths if p[-2:-1] == ("steps",)]
     if kind == "polynomial":
         return [p for p in paths if len(p) == 2 and p[0] == "polynomials"]
+    if kind == "integer":
+        return [p for p in paths if p[-1] in ("m", "K", "exact", "max_degree")]
     return paths
 
 
@@ -355,7 +382,8 @@ def _targets(doc, kind):
 def mutated_scenarios(draw):
     doc = copy.deepcopy(FUZZ_BASE)
     swaps = {"retype": RETYPED, "rational": BAD_RATIONALS,
-             "step": BAD_STEPS, "polynomial": BAD_POLYNOMIALS}
+             "step": BAD_STEPS, "polynomial": BAD_POLYNOMIALS,
+             "integer": BAD_INTEGERS}
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", *swaps]))
         paths = _targets(doc, kind)

@@ -1,0 +1,181 @@
+"""PathTrie against one-shot merges, fresh geometry builds and the
+per-round rebuilds of the deepening searches.
+
+A trie's clusters share their geometry rows and strict-transform memo,
+so every field must equal what a cluster built alone computes, whatever
+order the clusters' geometries are built in.  The searches that grow one
+trie (``logplus_laplacian``, ``divisorial_on_segment`` and the
+curve/divisorial meet) must give what the rebuild from the root gives,
+errors included.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from oracles import (divisorial_on_segment_by_rebuild,
+                     logplus_laplacian_by_rebuild,
+                     meet_curve_by_one_shot_merges)
+from randgen import random_path_batches
+from test_branch_walk import curve_divisorial_pairs
+from valinf import poly
+from valinf.cluster import (BranchWalk, Cluster, Free, PathTrie,
+                            PointAtInfinity, SatU, build_geometry,
+                            merge_paths, ord_along_path)
+from valinf.errors import DomainError, Undecided
+from valinf.potential import EdgePoint
+from valinf.puiseux import (divisorial_on_segment, logplus_laplacian,
+                            weighted_branches)
+from valinf.valuations import (Divisorial, _meet_curve_realizable, path_key,
+                               skewness)
+
+F = Fraction
+PY = PointAtInfinity("y")
+derandomized = settings(derandomize=True, max_examples=80, deadline=None)
+
+FIELDS = ("comps", "inter", "ord_x", "ord_y", "ord_w", "b", "alpha", "thin",
+          "parent", "depth")
+
+
+def table(g):
+    return {f: getattr(g, f) for f in FIELDS}
+
+
+def memo(cl):
+    """The strict memo as plain data: per polynomial, per node, the
+    transform's terms and order, its multiplicity and ord."""
+    return [(key, {c: (None if F_ is None else (F_.coeffs, F_.order), m, o)
+                   for c, (F_, m, o) in entry.items()})
+            for key, entry in cl._strict.items()]
+
+
+polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                        st.integers(-3, 3).filter(bool),
+                        min_size=1, max_size=4)
+
+
+@derandomized
+@given(st.integers(0, 10 ** 6), st.lists(polys, min_size=1, max_size=10))
+def test_trie_clusters_match_fresh_builds(seed, ps):
+    rng = random.Random(seed)
+    batches = random_path_batches(rng, rng.randint(1, 5))
+    trie = PathTrie()
+    merged = []
+    clusters = []
+    queries = []
+    for batch in batches:
+        cl, ends = trie.add(batch)
+        merged += batch
+        # the nodes are those of a one-shot merge of every path so far
+        one_shot, all_ends = merge_paths(merged)
+        assert cl.nodes == one_shot.nodes
+        assert ends == all_ends[len(merged) - len(batch):]
+        clusters.append(cl)
+        # some rounds evaluate polynomials before the next add
+        for _ in range(rng.randint(0, 3)):
+            k, P = rng.randrange(len(cl)), rng.choice(ps)
+            queries.append((k, P))
+            assert ord_along_path(cl, k, P) == \
+                ord_along_path(Cluster(cl.nodes), k, P)
+    # geometries built in any order, later clusters first as well
+    rng.shuffle(clusters)
+    for cl in clusters:
+        assert table(cl.geometry()) == table(build_geometry(
+            Cluster(cl.nodes)))
+    # the shared memo is the memo of one cluster that answered every query
+    fresh = Cluster(trie.nodes)
+    for k, P in queries:
+        ord_along_path(fresh, k, P)
+    assert memo(clusters[0]) == memo(fresh)
+    assert len(fresh._strict) <= Cluster.STRICT_MEMO_POLYS
+
+
+def test_one_shot_clusters_keep_no_rows():
+    cl, _ = merge_paths([(PY, (Free(F(1)), SatU())), (PY, (Free(F(2)),))])
+    assert cl._rows == []
+    cl.geometry()
+    assert cl._rows is None
+
+
+# ---------------------------------------------------------------------------
+# the deepening searches against their per-round rebuilds
+# ---------------------------------------------------------------------------
+
+
+def atom(p):
+    """A tree point as comparable data: its kind and its path, or the
+    branch and skewness of an edge point."""
+    if isinstance(p, EdgePoint):
+        return ("edge", p.below.branch, p.alpha)
+    if isinstance(p, Divisorial):
+        return ("divisorial", path_key(p), skewness(p))
+    return (type(p).__name__, p)
+
+
+def outcome(f, *args, **kwargs):
+    """The atoms of f(...), or the type and message of what it raised."""
+    try:
+        out = f(*args, **kwargs)
+    except (DomainError, Undecided) as e:
+        return (type(e), str(e))
+    if isinstance(out, Divisorial):
+        return atom(out)
+    return [(atom(p), m) for p, m in out.atoms]
+
+
+def run_recording_depths(f, *args, **kwargs):
+    """(outcome of f, the depth of every ``BranchWalk.steps`` request in
+    order)."""
+    asked = []
+    steps = BranchWalk.steps
+
+    def recording(self, depth, works=None):
+        asked.append(depth)
+        return steps(self, depth, works)
+
+    BranchWalk.steps = recording
+    try:
+        return outcome(f, *args, **kwargs), asked
+    finally:
+        BranchWalk.steps = steps
+
+
+def assert_same_run(f, oracle, *args, **kwargs):
+    """f and its oracle give the same outcome and ask the walks for the
+    same depths in the same order, so an error comes at the same depth."""
+    assert run_recording_depths(f, *args, **kwargs) == \
+        run_recording_depths(oracle, *args, **kwargs)
+
+
+# curves with branches that run out of truncation, ramify, or cross zero
+# between centers (so materialize=True realizes the crossing)
+CURVES = ["y^3-x^4+1/2", "y^2-x^5+x^3*y", "y^3-x^5+x*y", "y^2-x^3-1",
+          "x*y-1", "y^3-x^7+x^2*y^2", "y^2-x^3+x^2", "y^4-x^3*y+x^5-2"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(CURVES), st.sampled_from([None, 2, 3, 5, 8]),
+       st.booleans())
+def test_logplus_laplacian_matches_the_rebuild(text, K, materialize):
+    Q = poly.parse(text)
+    assert_same_run(logplus_laplacian, logplus_laplacian_by_rebuild, Q, K,
+             materialize=materialize)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(CURVES), st.sampled_from([None, 3, 6]),
+       st.fractions(min_value=-8, max_value=F(6, 7), max_denominator=7))
+def test_divisorial_on_segment_matches_the_rebuild(text, K, alpha):
+    branches = weighted_branches(poly.parse(text), K)
+    for b, _ in branches:
+        assert_same_run(divisorial_on_segment,
+                 divisorial_on_segment_by_rebuild, b, alpha)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(curve_divisorial_pairs())
+def test_curve_meet_matches_one_shot_merges(pair):
+    c, v = pair
+    assert_same_run(_meet_curve_realizable, meet_curve_by_one_shot_merges,
+             c, v)

@@ -93,3 +93,67 @@ def test_bad_polynomial():
     bad = {"format": 1, "polynomials": {"P": "y**"}}
     with pytest.raises(ScenarioError):
         parse_scenario(json.dumps(bad))
+
+
+CURVE = SAMPLE["valuations"]["c"]
+
+
+def _curve(**fields):
+    return dict(CURVE, **fields)
+
+
+@pytest.mark.parametrize("spec, field", [
+    (_curve(m=2.5), "'m'"),
+    (_curve(m=3.0), "'m'"),
+    (_curve(m=True), "'m'"),
+    (_curve(K=5.0), "'K'"),
+    (_curve(K=False), "'K'"),
+    (_curve(exact="false"), "'exact'"),
+    (_curve(exact=1), "'exact'"),
+    (_curve(exact=None), "'exact'"),
+], ids=["m-float", "m-integral-float", "m-bool", "K-float", "K-bool",
+        "exact-string", "exact-integer", "exact-null"])
+def test_field_of_the_wrong_json_type(spec, field):
+    doc = {"format": 1, "valuations": {"c": spec}}
+    with pytest.raises(ScenarioError, match=field) as e:
+        parse_scenario(json.dumps(doc))
+    assert e.value.path[:2] == ("valuations", "c")
+
+
+@pytest.mark.parametrize("options", [{"max_degree": 4.5},
+                                     {"max_degree": True}])
+def test_option_of_the_wrong_json_type(options):
+    doc = {"format": 1, "options": options}
+    with pytest.raises(ScenarioError, match="'max_degree'"):
+        parse_scenario(json.dumps(doc))
+
+
+def test_integer_strings_are_integers():
+    # coefficient exponents are JSON keys, so strings of integers are read
+    v = parse_valuation(_curve(m="3", K="5"))
+    assert (v.branch.series.m, v.branch.series.K) == (3, 5)
+    assert v.branch.series.exact is True
+    assert parse_valuation(_curve(exact=False)).branch.series.exact is False
+
+
+def test_curve_size_caps():
+    from valinf.cluster import MAX_CURVE_K, MAX_CURVE_M
+
+    assert MAX_CURVE_M >= 3000
+    assert parse_valuation(_curve(m=MAX_CURVE_M)).branch.series.m == \
+        MAX_CURVE_M
+    with pytest.raises(ScenarioError, match="cap") as e:
+        parse_valuation(_curve(m=MAX_CURVE_M + 1))
+    assert e.value.path == ("m",)
+    truncated = _curve(exact=False, K=MAX_CURVE_K)
+    assert parse_valuation(truncated).branch.series.K == MAX_CURVE_K
+    with pytest.raises(ScenarioError, match="cap") as e:
+        parse_valuation(dict(truncated, K=MAX_CURVE_K + 1))
+    assert e.value.path == ("K",)
+    # without "K", a truncated curve is cut past its last exponent
+    with pytest.raises(ScenarioError, match="cap"):
+        parse_valuation({"kind": "curve", "base": {"chart": "y"}, "m": 1,
+                         "coefficients": {str(MAX_CURVE_K): "1"}})
+    # K bounds no work of an exact curve
+    exact = parse_valuation(_curve(K=MAX_CURVE_K + 1))
+    assert exact.branch.series.K == MAX_CURVE_K + 1
