@@ -566,10 +566,15 @@ def eval_divisorial(cl: Cluster, node: int, P: dict) -> Fraction:
 # longest weight chain built: (1, 10^400) would fill memory for ever
 MAX_CHAIN_STEPS = 1024
 # largest ramification index m of a curve read from a scenario, and
-# largest truncation K of one that is not exact: on 2 vCPUs a meet with
-# the one-step divisorial Free(1) at base y takes 0.5 s for the exact
-# curve x_q^(1/m) at the cap on m, and about 2 s for the truncated curve
-# x_q^(1/3) + 5 x_q^(2/3) at the cap on K (3.9 s at K = 2,000)
+# largest truncation K of one that is not exact.  On 2 vCPUs a meet with
+# the one-step divisorial Free(1) at base y takes about 1 s for the exact
+# curve x_q^(1/m) at the cap on m.  A walk reads only the terms its
+# centers need, so the same meet of the truncated curve
+# x_q^(1/3) + 5 x_q^(2/3) takes about 1 ms at any K.  The cap on K bounds
+# what still costs K: a walk that runs out of terms rises to all K of them
+# before it raises (that meet with m = 300 at the cap takes about 10 s),
+# and a curve's evaluation multiplies series to K terms (1.6 s for a
+# polynomial of degree 6 on a curve with all 1,600 terms)
 MAX_CURVE_M = 10_000
 MAX_CURVE_K = 1_600
 
@@ -626,19 +631,46 @@ def monomial_to_node(s, t):
     return cl, len(cl) - 1
 
 
+def _apply_step(state, step, work):
+    """The walk state after the center ``step``, which ``state`` decides.
+
+    A SatU step divides U by V and leaves V unchanged; a free or SatV
+    step divides V by U and leaves U unchanged.  So each coordinate is
+    inverted once per change of it, not once per center, and a run of
+    SatU centers inverts V once.  Once V is exactly zero the branch is
+    the curve v = 0: every further center is Free(0), and the state
+    stays as it is.
+    """
+    U, V, v_present, Ui, Vi = state
+    if V.prec is None and V.is_zero_known():
+        return state
+    if isinstance(step, SatU):
+        if Vi is None:
+            Vi = V.inverse(work)
+        return (U * Vi, V, True, None, Vi)
+    if Ui is None:
+        Ui = U.inverse(work)
+    if isinstance(step, Free) and step.c:
+        return (U, V * Ui - LaurentSeries.monomial(0, step.c), False, Ui,
+                None)
+    return (U, V * Ui, v_present, Ui, None)
+
+
 def _center_step(state, work):
     """One center of a branch: (step, next state).
 
     The state is (U, V, v_present, U^-1, V^-1), where an inverse is None
-    until a step divides by it.  A SatU step divides U by V and leaves V
-    unchanged; a free or SatV step divides V by U and leaves U
-    unchanged.  So each coordinate is inverted once per change of it,
-    not once per center, and a run of SatU centers inverts V once.
+    until a step divides by it.  This decides the step from the orders
+    and leading terms of U and V, and ``_apply_step`` makes the next
+    state.  A center that the state cannot certify raises
+    InsufficientTruncation.
 
     Cost: one series product, plus one inverse on the first step of a
-    run that divides by a coordinate that changed.
+    run that divides by a coordinate that changed.  At working precision
+    p each of them spans at most about p terms, whatever the truncation
+    or the length of the series.
     """
-    U, V, v_present, Ui, Vi = state
+    U, V, v_present = state[:3]
     if V.is_zero_known():
         if V.prec is not None:
             raise InsufficientTruncation(
@@ -649,29 +681,53 @@ def _center_step(state, work):
     a = U.order()
     b = V.order()
     if a > b:
-        if Vi is None:
-            Vi = V.inverse(work)
-        return SatU(), (U * Vi, V, True, None, Vi)
-    if Ui is None:
-        Ui = U.inverse(work)
-    if b > a:
+        step = SatU()
+    elif b > a:
         step = SatV() if v_present else Free(Fraction(0))
-        return step, (U, V * Ui, v_present, Ui, None)
-    c = V.leading() / U.leading()
-    return Free(c), (U, V * Ui - LaurentSeries.monomial(0, c), False, Ui,
-                     None)
+    else:
+        step = Free(V.leading() / U.leading())
+    return step, _apply_step(state, step, work)
 
 
-def _branch_state(series: PuiseuxSeries):
-    return (LaurentSeries.monomial(series.m), series.tau_series(), False,
-            None, None)
+def _certifies(state) -> bool:
+    """Whether ``_center_step`` decides the next center of ``state``
+    without raising InsufficientTruncation: V is exactly zero, or U and V
+    both have a term below their precision."""
+    U, V = state[0], state[1]
+    if V.prec is None and V.is_zero_known():
+        return True
+    return all(s.coeffs and (s.prec is None or min(s.coeffs) < s.prec)
+               for s in (U, V))
 
 
-def _doubling(work: int, cap: int) -> tuple:
+def _branch_state(series: PuiseuxSeries, work: int):
+    """The walk state at the base point: U = t^m, and V the series, a
+    truncated one read to its terms below t^work."""
+    V = series.tau_series()
+    if V.prec is not None and work < V.prec:
+        V = LaurentSeries.unchecked(
+            {e: c for e, c in V.coeffs.items() if e < work}, work)
+    return (LaurentSeries.monomial(series.m), V, False, None, None)
+
+
+# the first working precision of a walk, for a truncated series and below
+# the schedules of an exact one (see BranchWalk).  Chosen by timing: of
+# 4, 8 and 16 for a truncated series and 16, 32 and 64 for an exact one,
+# these gave the least op time on the curves benchmark at seed 0
+TRUNCATED_START = 8
+EXACT_START = 32
+
+
+def _doubling(work: int, cap: int, start: int | None = None) -> tuple:
     """Working precisions tried for an exact series: ``work``, doubled
     after each failure, up to the first one past ``cap``, which is the
-    last."""
-    works = [work]
+    last.  With ``start``, the rungs start, 2 start, ... below ``work``
+    come first."""
+    works = []
+    while start is not None and start < work:
+        works.append(start)
+        start *= 2
+    works.append(work)
     while works[-1] <= cap:
         works.append(2 * works[-1])
     return tuple(works)
@@ -679,42 +735,66 @@ def _doubling(work: int, cap: int) -> tuple:
 
 def _branch_works(series: PuiseuxSeries, depth: int) -> tuple:
     top = max((j for j, _ in series.coeffs), default=1)
-    return _doubling(4 * (series.m * (depth + 2) + top + 8), 1 << 16)
+    return _doubling(4 * (series.m * (depth + 2) + top + 8), 1 << 16,
+                     EXACT_START)
 
 
 # the working precisions of diverging_steps; the last also bounds its depth
-DIVERGING_WORKS = _doubling(256, 1 << 17)
+DIVERGING_WORKS = _doubling(256, 1 << 17, EXACT_START)
 
 
 class BranchWalk:
     """The sequence of centers of one branch, walked once and resumed.
 
-    It holds the steps certified so far and the live state after them, so
-    a deeper request continues where the last one stopped.  A certified
-    step is the branch's true center at any precision.  A truncated
-    series takes its precision from its own truncation, so continuing
-    gives exactly the steps and the error of a walk from the root.  An
-    exact series is walked at a working precision (the terms kept when a
-    series is inverted): the walk continues at the current one, and when
-    a step cannot be certified there it is redone from the root on the
-    caller's schedule of precisions, doubling up to a cap, so it raises
-    exactly where a walk from the root on that schedule raises.
+    It holds the steps certified so far, the working precision ``work``
+    and the live state after the steps at that precision, so a deeper
+    request continues where the last one stopped.  A certified step is
+    the branch's true center at any precision.
+
+    The working precision is what the centers need.  A truncated series
+    is read to its terms below t^work, at most its own K + 1; an exact
+    one is inverted to ``work`` terms.  The walk starts at the first rung
+    of its schedule: ``TRUNCATED_START`` doubled up to K + 1 for a
+    truncated series, and for an exact one the caller's schedule (that of
+    ``branch_steps`` or ``DIVERGING_WORKS``, whose rungs start at
+    ``EXACT_START``).  When the state cannot certify the next center, the
+    precision rises to the next rung of the schedule and the recorded
+    steps are applied again at it, with ``_apply_step``, the helper that
+    ``_center_step`` applies a decided step with: no center is decided
+    twice, and ``raises`` counts the rises.  At the top rung an
+    uncertifiable center raises InsufficientTruncation, and a certified
+    step at any lower precision is certified at the top, so a walk raises
+    exactly where a walk from the root at the top rung raises: for a
+    truncated series, at its full truncation.  A request whose schedule
+    tops out below the current precision walks again from the root, for
+    the same reason.
 
     Cost: a center step is one series product (U / V for a SatU step,
     V / U for a free or SatV step), plus one series inverse on the first
-    step of a run after the divisor changed.  A SatU step leaves V
-    unchanged and the others leave U unchanged, so the state keeps U^-1
-    and V^-1: a run of SatU centers inverts V once, and a run of free
-    and SatV centers inverts U once.
+    step of a run after the divisor changed; the state keeps U^-1 and
+    V^-1, so a run of SatU centers inverts V once, and a run of free and
+    SatV centers inverts U once.  Each spans about ``work`` terms, so a
+    truncated walk costs what the centers need, not what K is.  The
+    rises double the precision, and the cost of a walk grows at least
+    linearly in it, so all re-applications together cost no more than
+    one walk at the final precision.
     """
 
-    __slots__ = ("series", "_steps", "_state", "_work")
+    __slots__ = ("series", "work", "raises", "_steps", "_state", "_works")
 
     def __init__(self, series: PuiseuxSeries):
         self.series = series
+        self.work = None
+        self.raises = 0
         self._steps = []
-        self._state = _branch_state(series)
-        self._work = None
+        self._state = None
+        self._works = None
+
+    @property
+    def depth(self) -> int:
+        """The deepest depth certified so far: the steps into centers
+        2..depth are recorded."""
+        return len(self._steps) + 1
 
     def steps(self, depth: int, works=None) -> list:
         """Steps of the first ``depth`` centers (depth >= 1), as a new list.
@@ -733,43 +813,54 @@ class BranchWalk:
             self._reach(i + 1, works)
         return self._steps[i]
 
+    def _reach(self, n: int, works):
+        """Certify n steps on ``works``, or on a truncated series' own
+        rungs.  A walk past the top of ``works`` starts again from the
+        root, since it may hold centers that the top cannot certify."""
+        if not self.series.exact:
+            works = _doubling(self.series.K + 1, self.series.K,
+                              TRUNCATED_START)
+        self._works = works
+        if self.work is None or self.work > works[-1]:
+            self._steps = []
+            self.work = works[0]
+            self._state = _branch_state(self.series, self.work)
+        self._walk(n)
+
     def _walk(self, n: int):
+        works = self._works
         while len(self._steps) < n:
-            step, self._state = _center_step(self._state, self._work)
+            if self.work < works[-1] and not _certifies(self._state):
+                self._rise(next(w for w in works if w > self.work))
+                continue
+            step, self._state = _center_step(self._state, self.work)
             self._steps.append(step)
 
-    def _reach(self, n: int, works):
-        if not self.series.exact:
-            self._walk(n)
-            return
-        failed = 0
-        if self._work is not None and self._work <= works[-1]:
-            try:
-                self._walk(n)
-                return
-            except InsufficientTruncation:
-                failed = self._work
-        # a walk that failed at one precision fails at every lower one
-        for work in [w for w in works[:-1] if w > failed] + [works[-1]]:
-            self._steps, self._state = [], _branch_state(self.series)
-            self._work = work
-            try:
-                self._walk(n)
-                return
-            except InsufficientTruncation:
-                if work == works[-1]:
-                    raise
+    def _rise(self, work: int):
+        """Apply the recorded steps again at working precision ``work``."""
+        self.work = work
+        self.raises += 1
+        state = _branch_state(self.series, work)
+        for step in self._steps:
+            state = _apply_step(state, step, work)
+        self._state = state
 
 
 def branch_steps(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
     """Steps of the first ``depth`` centers of a branch (depth >= 1).
 
-    A fresh ``BranchWalk``: for exact (terminating) series the working
-    precision starts at 4 * (m * (depth + 2) + top + 8), for the top
-    exponent ``top``, and doubles until every center is certified, past
-    2^16 raising InsufficientTruncation; for truncated series an
-    uncertifiable step raises InsufficientTruncation.  Callers that
-    deepen one branch hold a ``BranchWalk`` instead.
+    A fresh ``BranchWalk``.  For an exact (terminating) series the
+    schedule of working precisions is ``EXACT_START`` doubled below
+    4 * (m * (depth + 2) + top + 8), for the top exponent ``top``, then
+    that doubled up to the first past 2^16, where an uncertifiable
+    center raises InsufficientTruncation; a truncated series is read to
+    ``TRUNCATED_START`` terms, doubled up to its K + 1, where it raises.
+
+    Cost: the walk at the least rung of the schedule that certifies
+    every center, plus the re-applications of the rises below it, which
+    cost less than that walk; not the walk at the top rung or at the
+    full truncation.  Callers that deepen one branch hold a
+    ``BranchWalk`` instead.
     """
     return BranchWalk(series).steps(depth)
 
@@ -789,9 +880,13 @@ def diverging_steps(s1, s2):
     final and no work is spent deeper.
 
     Each branch is walked on the schedule ``DIVERGING_WORKS``
-    (256 doubled up to 2^18).  The last precision W of that schedule
+    (``EXACT_START`` doubled up to 2^18; a truncated branch reads its own
+    terms, see ``BranchWalk``).  The last precision W of that schedule
     bounds the search: no divergence within W/4 centers, or a side
     still satellite after W/2, raises InsufficientTruncation.
+
+    Cost: the walks of both branches to their returned depths, each at
+    the precision its centers need (see ``BranchWalk``), not at W.
     """
     works = DIVERGING_WORKS
     walks = tuple(s if isinstance(s, BranchWalk) else BranchWalk(s)

@@ -249,9 +249,11 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
 
     # from two centers past v's path on, once the branch end leaves v's
     # dual path it stays off it and gives the same meet, so the depth
-    # grows in doubling strides; a walk that cannot be certified sends the
-    # search back to +2 strides from the last depth checked, so that it
-    # raises only where a search in +2 strides raises
+    # grows in doubling strides.  A walk that cannot be certified sends
+    # the search back to the deepest depth of the +2 grid from the last
+    # depth checked that the walk certified: its meet is the one a search
+    # in +2 strides finds, and if its end is still on the path, the next
+    # grid depth raises where that search raises
     last, depth, stride, grow = None, len(target[1]) + 2, 2, True
     while True:
         try:
@@ -259,7 +261,9 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
         except InsufficientTruncation:
             if last is None or depth == last + 2:
                 raise
-            depth, stride, grow = last + 2, 2, False
+            deepest = min(walk.depth, depth - 2)
+            depth = last + 2 * max(1, (deepest - last) // 2)
+            stride, grow = 2, False
             continue
         if out is not None:
             return out

@@ -3,14 +3,16 @@
 from fractions import Fraction
 
 from valinf import poly
-from valinf.cluster import (LINF, BranchWalk, Cluster, branch_steps,
-                            chain_cluster, eval_divisorial, merge_paths)
+from valinf.cluster import (LINF, BranchWalk, Cluster, Free, SatU, SatV,
+                            branch_steps, chain_cluster, eval_divisorial,
+                            merge_paths)
 from valinf.errors import (InsufficientTruncation, InternalMismatch,
-                           PreconditionViolated)
+                           InvalidCluster, PreconditionViolated)
 from valinf.exact import Ext, SymMatrixExt, _q, sign_at_neg_infinity
 from valinf.potential import EdgePoint, measure
 from valinf.puiseux import (_perturbed_curve, _simplest_between,
                             weighted_branches)
+from valinf.series import LaurentSeries
 from valinf.valuations import (ROOT, Curve, Divisorial, _meet_curves,
                                _wrap_lca, equal, path_key, skewness)
 
@@ -188,7 +190,9 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
 
 def meet_curve_by_one_shot_merges(c, v):
     """``valuations._meet_curve_realizable`` with every probe rebuilt: each
-    probe merges both paths afresh and builds the whole geometry."""
+    probe merges both paths afresh and builds the whole geometry.  After
+    a doubling stride that the walk cannot certify, it steps back in +2
+    strides from the last depth checked."""
     target = path_key(v)
     if c.branch.base != target[0]:
         return ROOT
@@ -221,3 +225,135 @@ def meet_curve_by_one_shot_merges(c, v):
         last, depth = depth, depth + stride
         if grow:
             stride *= 2
+
+
+# ---------------------------------------------------------------------------
+# the branch walker at full precision
+# ---------------------------------------------------------------------------
+
+
+def _full_center_step(state, work):
+    """One center of a branch, keeping U^-1 and V^-1 in the state."""
+    U, V, v_present, Ui, Vi = state
+    if V.is_zero_known():
+        if V.prec is not None:
+            raise InsufficientTruncation(
+                "branch series vanishes to its stored order")
+        if v_present:
+            raise InvalidCluster("branch coincides with a boundary curve")
+        return Free(Fraction(0)), state
+    a = U.order()
+    b = V.order()
+    if a > b:
+        if Vi is None:
+            Vi = V.inverse(work)
+        return SatU(), (U * Vi, V, True, None, Vi)
+    if Ui is None:
+        Ui = U.inverse(work)
+    if b > a:
+        step = SatV() if v_present else Free(Fraction(0))
+        return step, (U, V * Ui, v_present, Ui, None)
+    c = V.leading() / U.leading()
+    return Free(c), (U, V * Ui - LaurentSeries.monomial(0, c), False, Ui,
+                     None)
+
+
+def _full_branch_state(series):
+    return (LaurentSeries.monomial(series.m), series.tau_series(), False,
+            None, None)
+
+
+def full_doubling(work, cap):
+    """``work`` doubled up to the first past ``cap``, which is the last."""
+    works = [work]
+    while works[-1] <= cap:
+        works.append(2 * works[-1])
+    return tuple(works)
+
+
+def full_branch_works(series, depth):
+    top = max((j for j, _ in series.coeffs), default=1)
+    return full_doubling(4 * (series.m * (depth + 2) + top + 8), 1 << 16)
+
+
+FULL_DIVERGING_WORKS = full_doubling(256, 1 << 17)
+
+
+class FullPrecisionWalk:
+    """The sequence of centers of one branch, walked once and resumed,
+    as ``cluster.BranchWalk`` walked it before precision on demand: a
+    truncated series at its whole truncation K + 1, and an exact one at
+    the first rung of the caller's schedule that certifies every center,
+    redoing the walk from the root at each rung.  Its schedules start at
+    their old first rungs; their tops are those of ``cluster``.
+    """
+
+    def __init__(self, series):
+        self.series = series
+        self._steps = []
+        self._state = _full_branch_state(series)
+        self._work = None
+
+    def steps(self, depth, works=None):
+        n = max(depth - 1, 0)
+        if n > len(self._steps):
+            self._reach(n, works or full_branch_works(self.series, depth))
+        return self._steps[:n]
+
+    def step(self, i, works):
+        if i >= len(self._steps):
+            self._reach(i + 1, works)
+        return self._steps[i]
+
+    def _walk(self, n):
+        while len(self._steps) < n:
+            step, self._state = _full_center_step(self._state, self._work)
+            self._steps.append(step)
+
+    def _reach(self, n, works):
+        if not self.series.exact:
+            self._walk(n)
+            return
+        failed = 0
+        if self._work is not None and self._work <= works[-1]:
+            try:
+                self._walk(n)
+                return
+            except InsufficientTruncation:
+                failed = self._work
+        # a walk that failed at one precision fails at every lower one
+        for work in [w for w in works[:-1] if w > failed] + [works[-1]]:
+            self._steps, self._state = [], _full_branch_state(self.series)
+            self._work = work
+            try:
+                self._walk(n)
+                return
+            except InsufficientTruncation:
+                if work == works[-1]:
+                    raise
+
+
+def full_diverging_steps(walks):
+    """``cluster.diverging_steps`` on two ``FullPrecisionWalk``s."""
+    works = FULL_DIVERGING_WORKS
+    k = 0
+    while True:
+        if k == works[-1] // 4:
+            raise InsufficientTruncation("branches agree beyond the "
+                                         "exploration depth")
+        a = walks[0].step(k, works)
+        b = walks[1].step(k, works)
+        k += 1
+        if a != b:
+            break
+    out = []
+    for walk in walks:
+        n = k
+        while not isinstance(walk.step(n - 1, works), Free):
+            walk.step(n, works)
+            n += 1
+            if n > works[-1] // 2:
+                raise InsufficientTruncation(
+                    "satellite cascade beyond the exploration depth")
+        out.append(walk.steps(n + 1))
+    return tuple(out)

@@ -5,8 +5,8 @@ inverts a chart coordinate at every step, the dense ``LaurentSeries``
 product and inverse loops (the reference for any faster loop), the
 prefix-keyed ``merge_paths``, ``branch_steps`` as one fresh walk per
 working precision, ``diverging_steps`` as a lockstep walk restarted at
-each doubling, and the curve/divisorial meet deepened by two centers per
-round.
+each doubling, the curve/divisorial meet deepened by two centers per
+round, and the walker at full precision (``oracles.FullPrecisionWalk``).
 """
 
 from fractions import Fraction
@@ -15,6 +15,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import valinf.cluster as cluster
+from oracles import (FULL_DIVERGING_WORKS, FullPrecisionWalk,
+                     full_diverging_steps)
 from valinf import poly
 from valinf.cluster import (BranchWalk, Cluster, Free, Node, PointAtInfinity,
                             PuiseuxBranch, SatU, SatV, branch_steps,
@@ -547,6 +549,130 @@ def test_curve_meet_matches_the_plus_two_search(pair):
 
 
 # ---------------------------------------------------------------------------
+# precision on demand against the walker at full precision
+# ---------------------------------------------------------------------------
+
+
+branches = st.one_of(series(), two_pairs(), ramified())
+
+
+@derandomized
+@given(branches, st.lists(st.integers(0, 16), min_size=1, max_size=5))
+def test_walk_matches_the_full_precision_walk(s, depths):
+    # depth requests in any order, on the schedule of branch_steps
+    walk, full = BranchWalk(s), FullPrecisionWalk(s)
+    for d in depths:
+        assert outcome(walk.steps, d) == outcome(full.steps, d)
+
+
+@derandomized
+@given(branches, st.integers(0, 8), st.lists(st.tuples(
+    st.integers(0, 14), st.none() | st.tuples(st.integers(1, 16),
+                                              st.integers(0, 3))),
+    min_size=1, max_size=4))
+def test_tiny_schedules_match_the_full_precision_walk(s, first, requests):
+    # after a request on the default schedule, an explicit schedule whose
+    # top is below the walker's precision sends it back to the root, as
+    # it sent the full walker
+    walk, full = BranchWalk(s), FullPrecisionWalk(s)
+    for d, tiny in [(first, None)] + requests:
+        works = tiny and cluster._doubling(tiny[0], tiny[0] << tiny[1])
+        assert outcome(walk.steps, d, works) == outcome(full.steps, d, works)
+
+
+def test_a_lower_schedule_walks_from_the_root():
+    s = PuiseuxSeries.make(3, {1: 1, 2: 2, 7: -1}, 7, exact=True)
+    walk, full = BranchWalk(s), FullPrecisionWalk(s)
+    assert walk.steps(6) == full.steps(6)
+    assert walk.work == cluster.EXACT_START
+    # 8 terms certify 10 centers but not the 11th, which 32 terms do
+    works = cluster._doubling(2, 4)
+    with pytest.raises(InsufficientTruncation):
+        full.steps(12, works)
+    with pytest.raises(InsufficientTruncation):
+        walk.steps(12, works)
+    assert (walk.depth, walk.work) == (11, 8)
+    assert walk.steps(12) == full.steps(12)
+
+
+def serve(walk, request):
+    """One request of a mixed sequence to a walker, new or full."""
+    kind, arg = request
+    if kind == "steps":
+        return walk.steps(arg)
+    if isinstance(walk, FullPrecisionWalk):
+        if kind == "step":
+            return walk.step(arg, FULL_DIVERGING_WORKS)
+        return full_diverging_steps((walk, FullPrecisionWalk(arg)))
+    if kind == "step":
+        return walk.step(arg, cluster.DIVERGING_WORKS)
+    return diverging_steps(walk, arg)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_schedules_match_the_full_precision_walk(data):
+    # one walker serves branch_steps requests, single steps on the
+    # schedule of diverging_steps, and whole diverging_steps calls
+    s = data.draw(branches)
+    others = series(top=6).filter(
+        lambda o: not (o.exact and s.exact and o.reduced() == s.reduced()))
+    requests = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("steps"), st.integers(0, 16)),
+        st.tuples(st.just("step"), st.integers(0, 16)),
+        st.tuples(st.just("diverge"), others)), min_size=1, max_size=5))
+    walk, full = BranchWalk(s), FullPrecisionWalk(s)
+    for request in requests:
+        assert outcome(serve, walk, request) == outcome(serve, full, request)
+
+
+def length(s):
+    """The number of exponents from the order of s to its precision, or
+    to its top term when it is exact."""
+    top = s.prec if s.prec is not None else max(s.coeffs) + 1
+    return top - min(s.coeffs)
+
+
+@pytest.fixture
+def lengths(monkeypatch):
+    """Records the length of each series inverted or multiplied."""
+    out = []
+    inverse, mul = LaurentSeries.inverse, LaurentSeries.__mul__
+
+    def recording_inverse(self, prec_hint=None):
+        out.append(length(self))
+        return inverse(self, prec_hint)
+
+    def recording_mul(self, other):
+        out.extend(length(f) for f in (self, other) if f.coeffs)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentSeries, "inverse", recording_inverse)
+    monkeypatch.setattr(LaurentSeries, "__mul__", recording_mul)
+    return out
+
+
+@pytest.mark.parametrize("K", [20, 1_600, 4_096])
+def test_a_truncated_walk_reads_what_its_centers_need(lengths, K):
+    # the curve of the K cap: the first 5 centers need 8 terms of it,
+    # which the walk at full precision inverted to K terms
+    s = PuiseuxSeries.make(3, {1: 1, 2: 5}, K)
+    walk = BranchWalk(s)
+    assert walk.steps(5) == [SatU(), SatU(), Free(F(1)), Free(F(15))]
+    assert (walk.work, walk.raises) == (cluster.TRUNCATED_START, 0)
+    assert lengths and max(lengths) <= cluster.TRUNCATED_START
+
+
+def test_a_rise_applies_the_recorded_steps_again(lengths):
+    # K = 8 certifies 9 centers; the walk rises from 8 terms to 9 to find
+    # the tenth uncertifiable, and raises what the full walk raises
+    s = PuiseuxSeries.make(3, {1: 1, 2: 5}, 8)
+    walk = BranchWalk(s)
+    assert outcome(walk.steps, 40) == outcome(FullPrecisionWalk(s).steps, 40)
+    assert (walk.depth, walk.work, walk.raises) == (11, 9, 1)
+
+
+# ---------------------------------------------------------------------------
 # each center is computed once per walk
 # ---------------------------------------------------------------------------
 
@@ -607,6 +733,17 @@ def test_large_ramification_meet_walks_once(counted):
     (walk, depths), = walks
     assert len(calls) == len(walk._steps) == depths[-1] - 1
     assert len(depths) < 12                 # doubling strides, not +2
+
+
+def test_rises_decide_each_center_once(counted):
+    calls, walks = counted
+    s = PuiseuxSeries.make(6, [(1, 1), (3, 2), (5, -1), (7, 3)], 40,
+                           exact=True)
+    walk = BranchWalk(s)
+    assert len(walk.steps(80)) == 79
+    # 32 -> 64 -> 128 terms, far below the first rung of the full walk
+    assert (walk.work, walk.raises) == (128, 2)
+    assert len(calls) == 79
 
 
 def test_segment_search_walks_its_branch_once(counted):

@@ -177,5 +177,21 @@ def test_divisorial_on_segment_matches_the_rebuild(text, K, alpha):
 @given(curve_divisorial_pairs())
 def test_curve_meet_matches_one_shot_merges(pair):
     c, v = pair
-    assert_same_run(_meet_curve_realizable, meet_curve_by_one_shot_merges,
-             c, v)
+    got, asked = run_recording_depths(_meet_curve_realizable, c, v)
+    want, oracle_asked = run_recording_depths(meet_curve_by_one_shot_merges,
+                                              c, v)
+    assert got == want
+    # both take the same doubling strides; where the oracle then steps
+    # back in +2 strides from the last depth checked, the search jumps
+    # once, to the deepest depth of that grid the walk certified, and asks
+    # for the next grid depth only to raise its error
+    k = next((i for i in range(1, len(oracle_asked))
+              if oracle_asked[i] < oracle_asked[i - 1]), len(oracle_asked))
+    assert asked[:k] == oracle_asked[:k]
+    back = asked[k:]
+    assert len(back) <= 2
+    if back:
+        assert oracle_asked[k] <= back[0] < asked[k - 1]
+        assert (back[0] - oracle_asked[k]) % 2 == 0
+    if len(back) == 2:
+        assert back[1] == back[0] + 2 and isinstance(got[0], type)

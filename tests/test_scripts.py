@@ -23,15 +23,32 @@ def test_script_exits_0(argv):
     assert done.stdout
 
 
-def test_walk_depth_prints_one_json_line():
+def walk_depth_rows(*argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, "scripts/walk_depth.py", "--depth", "10"],
+        [sys.executable, "scripts/walk_depth.py", *argv],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    row, = [json.loads(line) for line in done.stdout.splitlines()]
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def test_walk_depth_prints_one_json_line():
+    row, = walk_depth_rows("--depth", "10")
     assert (row["depth"], row["steps"]) == (10, 9)
     assert row["seconds"] >= 0
+    # the exact walk starts at 32 terms, which certify 9 centers
+    assert (row["work"], row["raises"]) == (32, 0)
+
+
+def test_walk_depth_walks_a_truncated_branch():
+    rows = walk_depth_rows("--depth", "10", "40", "--truncated", "30")
+    assert [r["depth"] for r in rows] == [10, 40]
+    # 8 terms certify 9 centers; 30 terms run out before center 40, after
+    # rising 8 -> 16 -> 31, the whole truncation
+    assert (rows[0]["steps"], rows[0]["work"], rows[0]["raises"]) == \
+        (9, 8, 0)
+    assert "steps" not in rows[1] and rows[1]["certified"] < 40
+    assert (rows[1]["work"], rows[1]["raises"]) == (31, 2)
 
 
 def test_laplacian_rounds_prints_one_json_line_per_polynomial():
