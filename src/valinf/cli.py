@@ -149,10 +149,15 @@ def cmd_chi(args, sc):
     return 0
 
 
+def _degree_bound(args, default: int) -> int:
+    """--max-degree if given at all (0 too), else the scenario's bound."""
+    return default if args.max_degree is None else args.max_degree
+
+
 def cmd_classify(args, sc):
     from .richness import classify
 
-    D = args.max_degree or int(sc.options.get("max_degree", 6))
+    D = _degree_bound(args, int(sc.options.get("max_degree", 6)))
     S = _valuation_set(sc, args.names)
     c = classify(S, D)
     lines = [f"delta = {c.delta}", f"chi = {format_ext(c.chi)}"]
@@ -179,7 +184,7 @@ def cmd_classify(args, sc):
 def cmd_find_positive(args, sc):
     from . import polyfinder
 
-    D = args.max_degree or int(sc.options.get("max_degree", 6))
+    D = _degree_bound(args, int(sc.options.get("max_degree", 6)))
     S = [v for _, v in _selected(sc, args.names)]
     P = polyfinder.find_positive(S, D)
     if P is None:
@@ -258,7 +263,7 @@ def cmd_algebraize(args, sc):
     if not spec:
         raise ScenarioError("scenario has no algebraize section")
     branches, points, D = parse_algebraize(spec)
-    D = args.max_degree or D
+    D = _degree_bound(args, D)
     rep = algebraize(branches, points, D)
     lines = [f"witness P = {poly.to_string(rep.witness)}",
              "T = {" + ", ".join(format_rational(t) for t in rep.values) + "}",

@@ -3,8 +3,8 @@
 Everything downstream runs on `fractions.Fraction`.  This module adds the
 two-point extension of the rationals (``Ext``), polynomials in one formal
 parameter read at the limit u -> -infinity (``TPoly``), symmetric matrices
-whose entries may be -infinity, exact Gaussian elimination over Q, and
-fraction-free elimination over Z for determinants and inverses.
+whose entries may be -infinity, and one fraction-free elimination over
+Z (``_bareiss``) behind linear solves, kernels, determinants and inverses.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ class Ext:
         if isinstance(value, Ext):
             return value
         return Ext(value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
-
-    def finite(self) -> Fraction:
-        if self.kind != 0:
-            raise IndeterminateForm(f"not finite: {self}")
-        return self.q
 
     # -- arithmetic ---------------------------------------------------
 
@@ -169,11 +160,6 @@ class Ext:
         if self.kind < 0:
             return "-inf"
         return str(self.q)
-
-    def sign(self) -> int:
-        if self.kind != 0:
-            return self.kind
-        return (self.q > 0) - (self.q < 0)
 
 
 POS_INF = Ext(_kind=1)
@@ -377,63 +363,6 @@ class LinSolveResult:
     kernel: list                   # basis of the homogeneous solution space
 
 
-def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveResult:
-    """Exact Gauss-Jordan elimination over Q.
-
-    Solves A x = b (b defaults to 0) and also returns a kernel basis.
-    """
-    rows = [[_q(e) for e in row] for row in A]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    if b is None:
-        rhs = [Fraction(0)] * m
-    else:
-        rhs = [_q(e) for e in b]
-        if len(rhs) != m:
-            raise ValueError("dimension mismatch")
-
-    aug = [rows[i] + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-
-    consistent = all(aug[i][n] == 0 for i in range(r, m))
-    free_cols = [c for c in range(n) if c not in pivots]
-
-    solution = None
-    if consistent:
-        solution = [Fraction(0)] * n
-        for i, c in enumerate(pivots):
-            solution[c] = aug[i][n]
-
-    kernel = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -aug[i][fc]
-        kernel.append(vec)
-
-    return LinSolveResult(solution=solution, kernel=kernel)
-
-
 def _integer_rows(A: Sequence[Sequence]):
     """(rows, scales): each row of A times the lcm of its denominators."""
     rows, scales = [], []
@@ -449,53 +378,99 @@ def _integer_rows(A: Sequence[Sequence]):
     return rows, scales
 
 
-def _bareiss(a: list) -> int:
+def _bareiss(a: list, ncols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) of an integer matrix with n rows and at least n columns.
+    1968; Nakos-Turner-Williams, SIGSAM Bull. 31, 1997) of an integer
+    matrix in place, with pivots among its first ``ncols`` columns.
 
-    Works in place and returns d, the determinant of the leading n x n
-    block B.  If d != 0, a ends as [d I | d B^-1 C] for a = [B | C].
-    Every intermediate entry is a minor of a, so each division is exact.
+    Returns (d, pivot columns).  The first r rows end as d times the
+    reduced row echelon form, the rest zero in those columns; d is the
+    last pivot (1 if none), the determinant on a nonsingular square
+    block.  A column with no pivot is skipped.  Every division is exact:
+    each entry stays, up to sign, a minor of a on the pivot rows and
+    columns and the entry's own row and column (Sylvester's identity),
+    and a skipped column, zero below the pivot rows, enters no later
+    minor.  Cost: O(r m n) products of integers no longer than a minor.
     """
-    prev = 1
-    for k in range(len(a)):
-        if not a[k][k]:
-            s = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
-            if s is None:
-                return 0
+    prev, pivots = 1, []
+    for c in range(ncols):
+        k = len(pivots)
+        s = next((i for i in range(k, len(a)) if a[i][c]), None)
+        if s is None:
+            continue
+        if s != k:
             # a swap with one row negated keeps the determinant's sign
             a[k], a[s] = [-e for e in a[s]], a[k]
         top = a[k]
-        p = top[k]
+        p = top[c]
         for i, row in enumerate(a):
             if i != k:
-                f = row[k]
+                f = row[c]
                 a[i] = [(p * e - f * t) // prev for e, t in zip(row, top)]
         prev = p
-    return prev
+        pivots.append(c)
+    return prev, pivots
+
+
+def solve_linear(A: Sequence[Sequence], b: Sequence | None = None) -> LinSolveResult:
+    """Solve A x = b over Q (b defaults to 0), with a kernel basis.
+
+    One ``_bareiss`` pass over [A | b], its rows scaled to integers,
+    gives d times the reduced row echelon form.  That form is unique, so
+    the answer is any Gauss-Jordan's: x = last column / d at the pivots,
+    the kernel vector of a free column has -(that column) / d there, and
+    a nonzero last entry past the rank means no solution.  Cost: O(r m n)
+    integer operations for m equations in n unknowns of rank r.
+    """
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if any(len(row) != n for row in A):
+        raise ValueError("ragged matrix")
+    if b is None:
+        b = [0] * m
+    elif len(b) != m:
+        raise ValueError("dimension mismatch")
+    rows, _ = _integer_rows([list(row) + [e] for row, e in zip(A, b)])
+    d, pivots = _bareiss(rows, n)
+    solution = None
+    if not any(row[n] for row in rows[len(pivots):]):
+        solution = [Fraction(0)] * n
+        for row, c in zip(rows, pivots):
+            solution[c] = Fraction(row[n], d)
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for row, c in zip(rows, pivots):
+            vec[c] = Fraction(-row[fc], d)
+        kernel.append(vec)
+    return LinSolveResult(solution=solution, kernel=kernel)
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
-    """Determinant of a square matrix over Q, O(n^3) integer operations."""
+    """Determinant of a square matrix over Q, 0 when a column has no
+    pivot; one ``_bareiss`` pass, O(n^3) integer operations."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise ValueError("non-square matrix")
     rows, scales = _integer_rows(A)
-    return Fraction(_bareiss(rows), prod(scales))
+    d, pivots = _bareiss(rows, n)
+    return Fraction(d, prod(scales)) if len(pivots) == n else Fraction(0)
 
 
 def invert_matrix(A: Sequence[Sequence]) -> list | None:
     """Inverse of a square matrix over Q, or None if it is singular.
 
-    One fraction-free pass over [S A | I], where the diagonal S scales
-    A's rows to integers; then A^-1 = (S A)^-1 S.
+    One ``_bareiss`` pass over [S A | I], where the diagonal S scales A's
+    rows to integers, gives A^-1 = (S A)^-1 S, or a column with no pivot
+    when A is singular.  Cost: O(n^3) integer operations.
     """
     n = len(A)
     rows, scales = _integer_rows(A)
     for i, row in enumerate(rows):
         row.extend(int(i == k) for k in range(n))
-    d = _bareiss(rows)
-    if not d:
+    d, pivots = _bareiss(rows, n)
+    if len(pivots) < n:
         return None
     return [[Fraction(row[n + j] * scales[j], d) for j in range(n)]
             for row in rows]

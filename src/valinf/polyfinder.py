@@ -15,11 +15,23 @@ from math import gcd
 
 from . import poly
 from .cluster import base_strict_series, blowup_substitute
-from .errors import InsufficientTruncation, InternalMismatch
+from .errors import (InsufficientTruncation, InternalMismatch,
+                     PreconditionViolated)
 from .exact import Ext, solve_linear
 from .series import LaurentSeries, powers
 from .valuations import (Curve, Divisorial, Monomial, Root, Valuation,
                          branch_xy_series, evaluate)
+
+
+# an exhaustive search grows about as D^5: 22 s at the cap (README, caps)
+MAX_DEGREE = 24
+
+
+def check_degree_bound(D: int) -> None:
+    """Refuse a witness degree bound outside 1..MAX_DEGREE."""
+    if not 1 <= D <= MAX_DEGREE:
+        raise PreconditionViolated(
+            f"degree bound must be in 1..{MAX_DEGREE}, got {D}")
 
 
 def monomials_upto(d: int, include_constant: bool = True):
@@ -178,6 +190,7 @@ def _pick_kernel_element(kernel, monomials) -> dict | None:
 
 
 def _search(valuations, D: int, strict: bool, include_constant: bool):
+    check_degree_bound(D)
     for d in range(1, D + 1):
         monomials = monomials_upto(d, include_constant)
         rows = []
@@ -208,6 +221,7 @@ def find_positive(S, D: int):
     """Nonzero P of degree <= D with v(P) > 0 for all v in S, or None.
 
     None never disproves existence; it only exhausts the degree bound.
+    A bound outside 1..MAX_DEGREE raises PreconditionViolated.
     """
     valuations = list(S)
     P = _search(valuations, D, strict=True, include_constant=True)

@@ -200,8 +200,7 @@ def classify(S: ValuationSet, D: int) -> Classification:
     """
     from . import polyfinder
 
-    if D < 1:
-        raise PreconditionViolated("degree bound must be at least 1")
+    polyfinder.check_degree_bound(D)
     R, report = reduce_with_report(S)
     chi = chi_of(R)
     out = Classification(delta="unknown", chi=chi, reduction_report=report)

@@ -1,6 +1,7 @@
 """Slow reference computations kept only as test oracles."""
 
 from fractions import Fraction
+from typing import Sequence
 
 from valinf import poly
 from valinf.cluster import (LINF, BranchWalk, Cluster, Free, SatU, SatV,
@@ -8,7 +9,8 @@ from valinf.cluster import (LINF, BranchWalk, Cluster, Free, SatU, SatV,
                             merge_paths)
 from valinf.errors import (InsufficientTruncation, InternalMismatch,
                            InvalidCluster, PreconditionViolated)
-from valinf.exact import Ext, SymMatrixExt, _q, sign_at_neg_infinity
+from valinf.exact import (Ext, LinSolveResult, SymMatrixExt, _q,
+                          sign_at_neg_infinity)
 from valinf.potential import EdgePoint, measure
 from valinf.puiseux import (_perturbed_curve, _simplest_between,
                             weighted_branches)
@@ -26,6 +28,88 @@ def is_negative_definite(M: SymMatrixExt) -> bool:
         if sign != want:
             return False
     return True
+
+
+def solve_linear_by_fractions(A: Sequence[Sequence],
+                              b: Sequence | None = None) -> LinSolveResult:
+    """``exact.solve_linear`` by Gauss-Jordan elimination over Fraction.
+
+    Solves A x = b (b defaults to 0) and also returns a kernel basis.
+    """
+    rows = [[_q(e) for e in row] for row in A]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+    if b is None:
+        rhs = [Fraction(0)] * m
+    else:
+        rhs = [_q(e) for e in b]
+        if len(rhs) != m:
+            raise ValueError("dimension mismatch")
+
+    aug = [rows[i] + [rhs[i]] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [e / pv for e in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [e - f * p for e, p in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+
+    consistent = all(aug[i][n] == 0 for i in range(r, m))
+    free_cols = [c for c in range(n) if c not in pivots]
+
+    solution = None
+    if consistent:
+        solution = [Fraction(0)] * n
+        for i, c in enumerate(pivots):
+            solution[c] = aug[i][n]
+
+    kernel = []
+    for fc in free_cols:
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -aug[i][fc]
+        kernel.append(vec)
+
+    return LinSolveResult(solution=solution, kernel=kernel)
+
+
+def gauss_jordan(A):
+    """(det, inverse or None) by Gauss-Jordan elimination over Fraction."""
+    n = len(A)
+    aug = [[Fraction(e) for e in row]
+           + [Fraction(int(i == k)) for k in range(n)]
+           for i, row in enumerate(A)]
+    d = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != c:
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+            d = -d
+        pv = aug[c][c]
+        d *= pv
+        aug[c] = [e / pv for e in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
+    return d, [row[n:] for row in aug]
 
 
 def branch_to_nodes(base, series, depth: int):

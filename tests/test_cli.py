@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from valinf import cli
 from valinf.cli import main
 from valinf.cluster import MAX_CURVE_K, MAX_CURVE_M
+from valinf.polyfinder import MAX_DEGREE
 
 SCENARIO = {
     "format": 1,
@@ -247,6 +248,29 @@ def test_bad_input_exits_2(tmp_path, capsys, doc, argv, field):
     rc, out, err = run(capsys, argv[0], "-f", str(p), *argv[1:])
     assert rc == 2 and err.startswith("error:") and field in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("D", [0, -1, MAX_DEGREE + 1])
+@pytest.mark.parametrize("command", ["classify", "find-positive",
+                                     "algebraize"])
+@pytest.mark.parametrize("as_flag", [True, False], ids=["flag", "option"])
+def test_degree_bound_outside_1_to_cap_exits_2(tmp_path, capsys, D, command,
+                                               as_flag):
+    # {v_{-1,2}, v_{3,-1}} has the degree-2 witness x*y, which a bound of 0
+    # once found as if no bound were given
+    bound = 6 if as_flag else D
+    if command == "algebraize":
+        doc = _algebraize(max_degree=bound)
+    else:
+        doc = {"format": 1, "options": {"max_degree": bound}, "valuations": {
+            "a": {"kind": "monomial", "s": "-1", "t": "2"},
+            "b": {"kind": "monomial", "s": "3", "t": "-1"}}}
+    p = tmp_path / "degree.json"
+    p.write_text(json.dumps(doc))
+    flag = [f"--max-degree={D}"] if as_flag else []
+    rc, out, err = run(capsys, command, "-f", str(p), *flag)
+    assert (rc, out) == (2, "")
+    assert err == f"error: degree bound must be in 1..{MAX_DEGREE}, got {D}\n"
 
 
 def test_successive_calls_share_no_state(scfile, capsys):

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import is_negative_definite
+from oracles import (gauss_jordan, is_negative_definite,
+                     solve_linear_by_fractions)
 from valinf.exact import (Ext, IndeterminateForm, NEG_INF, POS_INF,
                           SymMatrixExt, TPoly, chi_det, det, ext_sum,
                           invert_matrix, limit_at_neg_infinity,
@@ -15,7 +16,8 @@ derandomized = settings(derandomize=True, max_examples=200, deadline=None)
 
 
 # ---------------------------------------------------------------------------
-# slow paths: the determinant and inverse that the Bareiss kernel replaced
+# slow path: the polynomial determinant that the interpolated chi_det
+# replaced
 # ---------------------------------------------------------------------------
 
 
@@ -45,29 +47,6 @@ def tpoly_rows(M: SymMatrixExt, k):
     u = TPoly.param()
     return [[u if e.kind < 0 else TPoly.const(e.q) for e in row[:k]]
             for row in M.entries[:k]]
-
-
-def gauss_jordan(A):
-    """(det, inverse or None) by Gauss-Jordan elimination over Fraction."""
-    n = len(A)
-    aug = [[F(e) for e in row] + [F(int(i == k)) for k in range(n)]
-           for i, row in enumerate(A)]
-    d = F(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot is None:
-            return F(0), None
-        if pivot != c:
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            d = -d
-        pv = aug[c][c]
-        d *= pv
-        aug[c] = [e / pv for e in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
-    return d, [row[n:] for row in aug]
 
 
 class TestExt:
@@ -198,6 +177,52 @@ class TestSolveLinear:
 
 entries = st.sampled_from([F(0), F(1), F(-1), F(2), F(-3), F(1, 2),
                            F(-2, 3), F(5, 4)])
+
+
+@st.composite
+def linear_system(draw):
+    """(A, b) with 1-8 rows and columns, all-int or Fraction entries and
+    b absent, A x for an integer x, or arbitrary; one in three A of 3 or
+    more rows has a row that is a combination of two others, so the rank
+    drops and an arbitrary b is often inconsistent."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    ints = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7])
+    entry = draw(st.sampled_from([ints, ints.map(F), entries]))
+    A = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    if m > 2 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(m)))[:3]
+        c = draw(st.sampled_from([1, -2, F(1, 3)]))
+        A[k] = [e + c * f for e, f in zip(A[i], A[j])]
+    kind = draw(st.sampled_from(["none", "image", "arbitrary"]))
+    if kind == "none":
+        return A, None
+    if kind == "image":
+        x = [draw(st.integers(-3, 3)) for _ in range(n)]
+        return A, [sum(a * c for a, c in zip(row, x)) for row in A]
+    return A, [draw(entry) for _ in range(m)]
+
+
+@derandomized
+@given(linear_system())
+def test_solve_linear_matches_fraction_gauss_jordan(system):
+    A, b = system
+    res = solve_linear(A, b)
+    assert res == solve_linear_by_fractions(A, b)
+    assert all(type(e) is F for e in (res.solution or []))
+    assert all(type(e) is F for vec in res.kernel for e in vec)
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1, 2], [3]], None),
+    ([[1], [2, 3]], [0, 0]),
+    ([[1, 2]], [1, 2]),
+    ([[1]], []),
+], ids=["ragged", "ragged-rhs", "long-rhs", "short-rhs"])
+def test_solve_linear_shape_errors(A, b):
+    with pytest.raises(ValueError) as want:
+        solve_linear_by_fractions(A, b)
+    with pytest.raises(ValueError, match=str(want.value)):
+        solve_linear(A, b)
 
 
 @st.composite

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from randgen import random_cluster, incomparable_nodes
-from valinf import poly
+from oracles import solve_linear_by_fractions
+from randgen import (random_cluster, incomparable_nodes,
+                     random_divisorial_set, random_mixed_set)
+from valinf import poly, polyfinder
 from valinf.exact import Ext, POS_INF, solve_linear
 from valinf.polyfinder import (find_nonnegative_nonconstant, find_positive,
                                monomials_upto, valuation_conditions)
@@ -136,3 +140,40 @@ class TestProperties:
             found = find_positive([v], 6)
             assert (found is not None) == \
                 (chi_of(ValuationSet.of([v])) > Ext(0))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free solver against the Fraction Gauss-Jordan it replaced
+# ---------------------------------------------------------------------------
+
+
+def random_set(seed, mixed):
+    rng = random.Random(seed)
+    return random_mixed_set(rng) if mixed else random_divisorial_set(rng)
+
+
+oracle_settings = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@oracle_settings
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(1, 4),
+       st.booleans())
+def test_condition_systems_solve_like_fraction_gauss_jordan(seed, mixed, d,
+                                                            strict):
+    monomials = monomials_upto(d)
+    rows = []
+    for v in random_set(seed, mixed):
+        rows += valuation_conditions(v, d, strict, monomials).rows
+    assert solve_linear(rows) == solve_linear_by_fractions(rows)
+
+
+@oracle_settings
+@given(st.integers(0, 10 ** 6), st.booleans(), st.integers(1, 4))
+def test_witnesses_match_fraction_gauss_jordan(seed, mixed, D):
+    S = random_set(seed, mixed)
+    searches = (find_positive, find_nonnegative_nonconstant)
+    got = [f(S, D) for f in searches]
+    with mock.patch.object(polyfinder, "solve_linear",
+                           solve_linear_by_fractions):
+        assert got == [f(S, D) for f in searches]
+

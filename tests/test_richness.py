@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import is_negative_definite
-from randgen import random_cluster, incomparable_nodes, random_mixed_set
-from valinf import poly
-from valinf.errors import (KernelDimensionNotOne, PreconditionViolated)
+from oracles import is_negative_definite, solve_linear_by_fractions
+from randgen import (random_cluster, incomparable_nodes,
+                     random_divisorial_set, random_mixed_set)
+from valinf import poly, richness
+from valinf.errors import (DomainError, KernelDimensionNotOne,
+                           PreconditionViolated)
 from valinf.exact import Ext, NEG_INF, POS_INF
 from valinf.potential import dirichlet, value
 from valinf.puiseux import logplus_laplacian, weighted_branches
@@ -234,3 +238,27 @@ class TestClassify:
             assert rich == (skewness(v) < Ext(0)) == (t > 0)
             found = polyfinder.find_positive([v], 6)
             assert (found is not None) == rich
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as e:
+        return (type(e).__name__, str(e))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5))
+def test_potentials_match_fraction_gauss_jordan(seed, want):
+    """star_system and kernel_function give what they gave on the
+    Fraction Gauss-Jordan, on antichains and on chi = 0 pairs."""
+    rng = random.Random(seed)
+    p, q = rng.randint(1, 5), rng.randint(1, 5)
+    sets = [mset(*random_divisorial_set(rng, want)),
+            mset(Monomial(F(-1), F(p, q)), Monomial(F(q, p), F(-1)))]
+    calls = [(f, S) for S in sets for f in (star_system, kernel_function)]
+    got = [outcome(f, S) for f, S in calls]
+    with mock.patch.object(richness, "solve_linear",
+                           solve_linear_by_fractions):
+        assert got == [outcome(f, S) for f, S in calls]
+

@@ -69,3 +69,17 @@ def test_laplacian_rounds_prints_one_json_line_per_polynomial():
     # each node on a dual path is evaluated once over all rounds (36 and
     # 35 calls when each round evaluated its dual paths afresh)
     assert [r["eval_divisorial"] for r in rows] == [15, 17]
+
+
+def test_witness_degrees_counts_the_baseline_solves():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/witness_degrees.py", "2", "4"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    # no witness exists, so each search solves once per degree 1..D
+    assert [(r["D"], r["solves"], r["cells"], r["found"]) for r in rows] \
+        == [(2, 2, 102, False), (4, 4, 762, False)]
+    assert all(r["seconds"] >= 0 for r in rows)
+
