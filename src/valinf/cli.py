@@ -6,8 +6,8 @@ Exit codes, one per family of ``valinf.errors``; a failure prints one
 - 0, success;
 - 1, internal error: ``InternalMismatch``, ``IndeterminateForm``, any
   other exception, and an ``oracle-check`` that finds a failure;
-- 2, bad input: ``DomainError`` (``ScenarioError`` included) or a
-  scenario file that cannot be read;
+- 2, bad input: ``DomainError`` (``ScenarioError`` included), a
+  scenario file that cannot be read, or a bad command line;
 - 3, undecided at this truncation, precision or cap: ``Undecided``
   (``InsufficientTruncation``, ``TruncationUnderflow``, ``Undecidable``,
   ``PrecisionExceeded``).
@@ -24,19 +24,11 @@ from . import poly
 from .adelic import algebraize
 from .errors import DomainError, ScenarioError, Undecided
 from .exact import Ext
-from .potential import EdgePoint, point_skewness
+from .potential import point_skewness
 from .scenario import (Scenario, format_ext, format_rational,
                        format_valuation, load_scenario, parse_algebraize)
 from .valuations import (Curve, Divisorial, Monomial, Root, evaluate, meet,
                          skewness, thinness)
-
-
-def _point_json(p):
-    if isinstance(p, EdgePoint):
-        return {"kind": "edge-point",
-                "alpha": format_ext(point_skewness(p)),
-                "below": format_valuation(p.below)}
-    return format_valuation(p)
 
 
 def _describe_point(p) -> str:
@@ -44,8 +36,6 @@ def _describe_point(p) -> str:
         return "-deg"
     if isinstance(p, Monomial):
         return f"v_{{{p.s},{p.t}}}"
-    if isinstance(p, EdgePoint):
-        return f"edge point at alpha={format_ext(point_skewness(p))}"
     if isinstance(p, Divisorial):
         return (f"divisorial at alpha="
                 f"{format_rational(p.cluster.geometry().alpha[p.node])}")
@@ -112,8 +102,7 @@ def cmd_meet(args, sc):
     a = format_ext(skewness(m))
     _emit(args, f"{args.left} ^ {args.right}: {_describe_point(m)} "
                 f"(alpha = {a})",
-          {"meet": _point_json(m) if not isinstance(m, Curve) else
-           format_valuation(m), "alpha": a})
+          {"meet": format_valuation(m), "alpha": a})
     return 0
 
 
@@ -205,7 +194,8 @@ def cmd_laplacian(args, sc):
     lines, atoms = [], []
     for p, m in rho.atoms:
         lines.append(f"mass {format_rational(m)} at {_describe_point(p)}")
-        atoms.append({"mass": format_rational(m), "point": _point_json(p)})
+        atoms.append({"mass": format_rational(m),
+                      "point": format_valuation(p)})
     lines.append(f"total mass {format_rational(rho.total_mass)}")
     _emit(args, "\n".join(lines),
           {"atoms": atoms, "total_mass": format_rational(rho.total_mass)})
@@ -222,7 +212,7 @@ def cmd_log_laplacian(args, sc):
         a = format_ext(point_skewness(p))
         lines.append(f"mass {format_rational(m)} at {_describe_point(p)}")
         atoms.append({"mass": format_rational(m), "alpha": a,
-                      "point": _point_json(p)})
+                      "point": format_valuation(p)})
     lines.append(f"total mass {format_rational(rho.total_mass)}")
     _emit(args, "\n".join(lines),
           {"atoms": atoms, "total_mass": format_rational(rho.total_mass)})
@@ -246,16 +236,14 @@ def cmd_dirichlet(args, sc):
 def cmd_oracle_check(args, sc):
     from .randomized import oracle_check
 
-    count = args.count or 50
-    seed = args.seed if args.seed is not None else 0
-    passed, failures = oracle_check(seed, count)
-    human = f"{passed}/{count} alpha-consistency"
+    passed, failures = oracle_check(args.seed, args.count)
+    human = f"{passed}/{args.count} alpha-consistency"
     for k, bad in failures:
         human += f"\ncluster {k}: " + "; ".join(bad)
-    _emit(args, human, {"passed": passed, "count": count,
+    _emit(args, human, {"passed": passed, "count": args.count,
                         "failures": [{"index": k, "problems": bad}
                                      for k, bad in failures]})
-    return 0 if passed == count else 1
+    return 0 if passed == args.count else 1
 
 
 def cmd_algebraize(args, sc):
@@ -315,51 +303,70 @@ COMMANDS = {
     "algebraize": cmd_algebraize,
 }
 
-NEEDS_FILE = {c for c in COMMANDS} - {"oracle-check"}
+# the largest --count of oracle-check; on 2 vCPUs a check at the cap
+# takes about 5 s
+MAX_ORACLE_COUNT = 10_000
+# the positional arguments of each command that does not take names
+POSITIONALS = {"meet": ("left", "right"), "eval": ("valuation", "polynomial"),
+               "laplacian": ("polynomial",), "log-laplacian": ("polynomial",),
+               "oracle-check": (), "algebraize": ()}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ``DomainError``, so that ``main``
+    prints one ``error:`` line and exits 2."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    """The --count of oracle-check: an integer in 1..MAX_ORACLE_COUNT."""
+    try:
+        if 1 <= int(text) <= MAX_ORACLE_COUNT:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer in 1..{MAX_ORACLE_COUNT}, got {text!r}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-f", "--file", help="scenario JSON file")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    common.add_argument("--max-degree", type=int, default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--count", type=int, default=None)
-
-    ap = argparse.ArgumentParser(
-        prog="valinf",
-        description="exact computations with valuations at infinity")
+    """The CLI's argument parser, built once per process.  Each command
+    takes only the flags it reads: --json all of them, -f all but
+    oracle-check, --max-degree the witness searches, and --seed and
+    --count oracle-check."""
+    ap = _Parser(prog="valinf",
+                 description="exact computations with valuations at infinity")
     sub = ap.add_subparsers(dest="command", required=True)
-    names_help = "valuation names (default: all in the scenario)"
-    for cmd in ("skewness", "thinness", "matrix", "chi", "classify",
-                "find-positive", "dirichlet"):
-        p = sub.add_parser(cmd, parents=[common])
-        p.add_argument("names", nargs="*", help=names_help)
-    p = sub.add_parser("meet", parents=[common])
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub.add_parser("eval", parents=[common])
-    p.add_argument("valuation")
-    p.add_argument("polynomial")
-    for cmd in ("laplacian", "log-laplacian"):
-        p = sub.add_parser(cmd, parents=[common])
-        p.add_argument("polynomial")
-    sub.add_parser("oracle-check", parents=[common])
-    sub.add_parser("algebraize", parents=[common])
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd)
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable output")
+        if cmd == "oracle-check":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--count", type=_count, default=50,
+                           help=f"clusters to check, 1..{MAX_ORACLE_COUNT}")
+            continue
+        p.add_argument("-f", "--file", required=True,
+                       help="scenario JSON file")
+        if cmd in ("classify", "find-positive", "algebraize"):
+            p.add_argument("--max-degree", type=int, default=None,
+                           help="witness degree bound (default: the "
+                                "scenario's)")
+        if cmd not in POSITIONALS:
+            p.add_argument("names", nargs="*", help="valuation names "
+                           "(default: all in the scenario)")
+        for name in POSITIONALS.get(cmd, ()):
+            p.add_argument(name)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        sc = None
-        if args.command in NEEDS_FILE:
-            if not args.file:
-                raise ScenarioError(f"{args.command} requires -f <scenario>")
-            sc = load_scenario(args.file)
+        args = build_parser().parse_args(argv)
+        sc = load_scenario(args.file) if "file" in args else None
         return COMMANDS[args.command](args, sc)
     except (DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

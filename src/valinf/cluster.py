@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 
+from . import poly
 from .errors import (InsufficientTruncation, InvalidCluster,
-                     InternalMismatch, RootValuation, ZeroPolynomial)
+                     InternalMismatch, PreconditionViolated, RootValuation)
 from .exact import _q, invert_matrix
 from .series import LaurentSeries, PuiseuxSeries, TruncSeries2
 
@@ -497,25 +498,19 @@ def build_geometry(cl: Cluster) -> GeometryTable:
 # ---------------------------------------------------------------------------
 
 
-def poly_degree(P: dict) -> int:
-    return max(i + j for (i, j), c in P.items() if c != 0)
-
-
 def _strict_memo(cl: Cluster, P: dict):
     """(P normalized, {LINF or node: (strict transform, its mult, ord)}).
 
     The memo lives on the cluster, holds at most
     ``Cluster.STRICT_MEMO_POLYS`` polynomials and evicts the oldest.
     """
-    if not P or all(c == 0 for c in P.values()):
-        raise ZeroPolynomial("cannot evaluate on the zero polynomial")
-    P = {k: _q(c) for k, c in P.items() if c != 0}
+    P = poly.require_nonzero(P)
     key = frozenset((k, c.numerator, c.denominator) for k, c in P.items())
     memo = cl._strict.get(key)
     if memo is None:
         if len(cl._strict) >= Cluster.STRICT_MEMO_POLYS:
             del cl._strict[next(iter(cl._strict))]
-        memo = cl._strict[key] = {LINF: (None, None, -poly_degree(P))}
+        memo = cl._strict[key] = {LINF: (None, None, -poly.degree(P))}
     return P, memo
 
 
@@ -579,16 +574,16 @@ MAX_CURVE_M = 10_000
 MAX_CURVE_K = 1_600
 
 
-def weight_chain_steps(a: int, b: int):
+def weight_chain_steps(a: int, b: int, v_present: bool = False):
     """Center steps of the toric chain for coprime positive weights (a, b).
 
     (a, b) are the orders of the target divisor on the local coordinates
-    (u, v) of the base point.  A chain longer than ``MAX_CHAIN_STEPS``
-    raises InvalidCluster.
+    (u, v) of the base point; ``v_present`` says that the v-axis there is
+    already a boundary curve, as at a satellite point.  A chain longer
+    than ``MAX_CHAIN_STEPS`` raises InvalidCluster.
     """
     weights = (a, b)
     steps = []
-    v_present = False
     while a != b:
         if len(steps) == MAX_CHAIN_STEPS:
             raise InvalidCluster(f"local weights {weights} need more than "
@@ -608,6 +603,42 @@ def weight_chain(base: PointAtInfinity, a: int, b: int) -> Cluster:
     (a, b) at ``base``, after dividing out their gcd."""
     g = gcd(a, b)
     return chain_cluster(base, weight_chain_steps(a // g, b // g))
+
+
+def segment_point_key(cl: Cluster, hi, lo, alpha):
+    """Path key of the divisorial of skewness ``alpha`` on the dual edge
+    from ``hi`` down to its child ``lo`` in the geometry of ``cl``, for
+    alpha[hi] > alpha > alpha[lo].
+
+    Adjacent divisors meet at one satellite point.  It lies on the
+    younger end y of the edge, the end whose axes hold the other end o
+    (LINF is always the older end), and it is y's SatU child when o is
+    y's u-axis, its SatV child otherwise.  The divisorials on the edge are
+    the monomial valuations at that point (Favre-Jonsson, *The Valuative
+    Tree*, LNM 1853): with coprime local weights w_hi, w_lo on the
+    equations of E_hi and E_lo, b = w_hi b_hi + w_lo b_lo,
+    alpha_hi - alpha = w_lo / (b_hi b) and alpha - alpha_lo = w_hi / (b_lo b).
+    So w_lo / w_hi = b_hi (alpha_hi - alpha) / (b_lo (alpha - alpha_lo)),
+    and the centers past the satellite point are the weight chain of
+    those weights with its v-axis already a boundary, capped by
+    ``MAX_CHAIN_STEPS``.
+    """
+    g = cl.geometry()
+    alpha = _q(alpha)
+    if lo == LINF or g.parent[lo] != hi or \
+            not g.alpha[hi] > alpha > g.alpha[lo]:
+        raise PreconditionViolated("skewness must lie strictly inside a "
+                                   "dual edge")
+    young, old = (lo, hi) if hi == LINF or hi in cl.axes[lo] else (hi, lo)
+    ratio = (g.b[hi] * (g.alpha[hi] - alpha)) / \
+        (g.b[lo] * (alpha - g.alpha[lo]))
+    w = {lo: ratio.numerator, hi: ratio.denominator}
+    if old == cl.axes[young][0]:
+        sat, a, b = SatU(), w[old], w[young]
+    else:
+        sat, a, b = SatV(), w[young], w[old]
+    base, steps = cl.key(young)
+    return base, steps + (sat,) + tuple(weight_chain_steps(a, b, True))
 
 
 def monomial_to_node(s, t):
@@ -866,11 +897,8 @@ def branch_steps(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
 
 
 def diverging_steps(s1, s2):
-    """Step prefixes of two branches that pin down their separation.
-
-    Each branch is a ``PuiseuxSeries``, walked afresh, or a
-    ``BranchWalk`` of one, which is continued: a caller that meets one
-    branch with many others walks it once.
+    """Step prefixes of two branches, each a ``PuiseuxSeries``, that pin
+    down their separation.
 
     Walks both expansions in lockstep to the first differing center,
     then extends each side through its first free center from there on.
@@ -889,8 +917,7 @@ def diverging_steps(s1, s2):
     the precision its centers need (see ``BranchWalk``), not at W.
     """
     works = DIVERGING_WORKS
-    walks = tuple(s if isinstance(s, BranchWalk) else BranchWalk(s)
-                  for s in (s1, s2))
+    walks = (BranchWalk(s1), BranchWalk(s2))
     k = 0
     while True:
         if k == works[-1] // 4:

@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from . import poly
 from .cluster import (BranchWalk, PathTrie, PointAtInfinity, PuiseuxBranch,
-                      base_strict_series, eval_divisorial, LINF)
+                      base_strict_series, chain_cluster, eval_divisorial,
+                      segment_point_key, LINF)
 from .errors import (InternalMismatch, NeedsFieldExtension,
                      PreconditionViolated, PrecisionExceeded, ZeroOrConstant)
 from .exact import Ext, _q, ext_sum, rational_root
-from .potential import DiscreteMeasure, EdgePoint, measure, point_green
+from .potential import DiscreteMeasure, measure, point_green
 from .series import PuiseuxSeries
-from .valuations import Curve, Divisorial, _meet_curves, equal, skewness
+from .valuations import Curve, Divisorial
 
 
 # ---------------------------------------------------------------------------
@@ -289,132 +289,49 @@ def log_value(Q: dict, v, K=None) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _perturbed_curve(branch: PuiseuxBranch, xi: Fraction) -> Curve:
-    """A terminating branch agreeing with the given one strictly below
-    exponent xi (in x_q^(1/m) units) and diverging exactly there."""
-    s = branch.series
-    mp = (s.m * xi.denominator) // gcd(s.m, xi.denominator)
-    scale = mp // s.m
-    jstar = int(xi * mp)
-    coeffs = {}
-    cstar = Fraction(1)
-    for j, c in s.coeffs:
-        if Fraction(j, s.m) < xi:
-            coeffs[j * scale] = c
-        elif Fraction(j, s.m) == xi:
-            cstar = c + 1
-    coeffs[jstar] = cstar
-    series = PuiseuxSeries.make(mp, coeffs, max(jstar, 1), exact=True)
-    return Curve(PuiseuxBranch(base=branch.base, series=series, minpoly=None))
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly inside (lo, hi)."""
-    from math import floor
-
-    il = floor(lo)
-    if il + 1 < hi:
-        return Fraction(il + 1)
-    if lo == il:
-        return il + Fraction(1, floor(1 / (hi - il)) + 1)
-    return il + 1 / _simplest_between(1 / (hi - il), 1 / (lo - il))
+def _divisorial_on_edge(cl, hi, lo, alpha) -> Divisorial:
+    """The divisorial of skewness alpha inside the dual edge (hi, lo) of
+    ``cl``, on a chain cluster of its own."""
+    base, steps = segment_point_key(cl, hi, lo, alpha)
+    return Divisorial(chain_cluster(base, steps), len(steps))
 
 
 def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     """The divisorial valuation of given skewness on [root, branch].
 
-    If the skewness matches a center of the branch the node is returned
-    directly.  Otherwise the point is the junction with a branch
-    perturbed at the right contact exponent.  The contact-to-skewness
-    map is affine between consecutive dual-path centers with slope
-    -m / (b_i b_j) read off the edge, so each probe is projected to the
-    target with the exact local slope and lands one edge closer at
-    worst; simplest-rational bisection is the fallback that keeps probe
-    denominators small.
-    """
-    alpha = Ext(_q(alpha))
-    if alpha >= Ext(1):
-        raise PreconditionViolated("segment skewness must be below 1")
-    cv = Curve(branch)
-    ram = branch.series.m
+    Skewness decreases along the dual path of the branch's first
+    centers, which is deepened in +8 rounds until its end lies below
+    alpha.  A center of skewness alpha on it is returned as it is.
+    Otherwise alpha lies strictly inside one edge of the path, and the
+    divisorial is read off that edge in closed form: the monomial
+    valuation at the edge's satellite point whose weights the skewness
+    and multiplicities of the edge fix (``cluster.segment_point_key``).
 
-    # dual-path profile [(skewness, multiplicity)] from the root down,
-    # extended on demand; each +8 round adds its centers to one trie, so
-    # its geometry transforms only the new nodes
-    state = {"depth": 8, "profile": None, "cl": None, "path": None}
+    Cost: one walk of the branch, on one ``BranchWalk``, to the first +8
+    depth whose dual path reaches below alpha; the rounds grow one
+    ``PathTrie``, so each round's geometry transforms only its new
+    nodes.  No curve is met and no probe is run.  An answer off the
+    centers adds a chain cluster: the path of the edge's younger end,
+    its satellite point and at most ``MAX_CHAIN_STEPS`` centers more.
+    """
+    alpha = _q(alpha)
+    if alpha >= 1:
+        raise PreconditionViolated("segment skewness must be below 1")
     walk = BranchWalk(branch.series)
     trie = PathTrie()
-
-    def extend_profile(below: Ext):
-        if state["profile"] is not None and state["profile"][-1][0] < below:
-            return
-        while True:
-            cl, (end,) = trie.add(
-                [(branch.base, walk.steps(state["depth"]))])
-            g = cl.geometry()
-            dp = g.dual_path(end)
-            prof = [(Ext(g.alpha[n]), g.b[n]) for n in dp]
-            state.update(profile=prof, cl=cl, path=dp)
-            if prof[-1][0] < below:
-                return
-            state["depth"] += 8
-
-    extend_profile(alpha)
-    for (av, _), n in zip(state["profile"], state["path"]):
-        if av == alpha:
-            return Divisorial(state["cl"], n)
-
-    def slope_denominator(a_from: Ext) -> Fraction:
-        """b_i * b_j of the edge on the target side of a_from."""
-        extend_profile(min(a_from, alpha))
-        prof = state["profile"]
-        for i in range(len(prof) - 1):
-            hi_a, lo_a = prof[i][0], prof[i + 1][0]
-            on_edge = hi_a > a_from > lo_a
-            at_top = a_from == hi_a and alpha < a_from
-            at_bottom = a_from == lo_a and alpha > a_from
-            if on_edge or at_top or at_bottom:
-                return Fraction(prof[i][1] * prof[i + 1][1])
-        raise InternalMismatch("probe skewness fell off the dual profile")
-
-    def probe(xi):
-        # meet(cv, other), continuing the walk of cv's own branch
-        other = _perturbed_curve(branch, xi)
-        m = cv if equal(cv, other) else _meet_curves(cv, other, walk)
-        return skewness(m), m
-
-    lo = Fraction(1, 2 * ram)
-    a_lo, m_lo = probe(lo)
-    while a_lo < alpha:
-        lo /= 2
-        a_lo, m_lo = probe(lo)
-    if a_lo == alpha:
-        return m_lo
-    hi = Fraction(2)
-    a_hi, m_hi = probe(hi)
-    while a_hi > alpha:
-        hi *= 2
-        a_hi, m_hi = probe(hi)
-    if a_hi == alpha:
-        return m_hi
-
-    for _ in range(500):
-        if (a_lo - alpha) <= (alpha - a_hi):
-            x_p, a_p = lo, a_lo
-        else:
-            x_p, a_p = hi, a_hi
-        extend_profile(min(a_p, a_hi))
-        xc = x_p + (a_p - alpha).q * slope_denominator(a_p) / ram
-        if not lo < xc < hi:
-            xc = _simplest_between(lo, hi)
-        a_c, m_c = probe(xc)
-        if a_c == alpha:
-            return m_c
-        if a_c > alpha:
-            lo, a_lo = xc, a_c
-        else:
-            hi, a_hi = xc, a_c
-    raise InternalMismatch("segment point search did not converge")
+    depth = 8
+    while True:
+        cl, (end,) = trie.add([(branch.base, walk.steps(depth))])
+        g = cl.geometry()
+        if g.alpha[end] < alpha:
+            break
+        depth += 8
+    path = g.dual_path(end)
+    for hi, lo in zip(path, path[1:]):
+        if g.alpha[lo] == alpha:
+            return Divisorial(cl, lo)
+        if g.alpha[lo] < alpha:
+            return _divisorial_on_edge(cl, hi, lo, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +339,13 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
 # ---------------------------------------------------------------------------
 
 
-def logplus_laplacian(Q: dict, K=None, materialize=True) -> DiscreteMeasure:
+def logplus_laplacian(Q: dict, K=None) -> DiscreteMeasure:
     """Atoms where the valuation of Q first reaches zero on the way from
     the root to each branch at infinity, weighted by the branch masses.
 
-    With materialize=True interior atoms are realized as divisorial
-    valuations; otherwise they stay segment points, which is cheaper.
+    Each atom is a divisorial valuation.  A zero strictly inside a dual
+    edge is read off that edge in closed form, as in
+    ``divisorial_on_segment``, with no further walk.
 
     Cost: a branch whose crossing is not yet on its dual path is deepened
     by 4 centers and the round is redone.  The rounds grow one
@@ -462,10 +380,7 @@ def logplus_laplacian(Q: dict, K=None, materialize=True) -> DiscreteMeasure:
                     a0, a1 = g.alpha[prev], g.alpha[n]
                     astar = a0 + (-vals[prev]) * (a1 - a0) / \
                         (vals[n] - vals[prev])
-                    if materialize:
-                        crossing = divisorial_on_segment(b, astar)
-                    else:
-                        crossing = EdgePoint(Curve(b), astar)
+                    crossing = _divisorial_on_edge(merged, prev, n, astar)
                     break
             if crossing is None:
                 depths[i] += 4

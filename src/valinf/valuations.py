@@ -272,16 +272,14 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
             stride *= 2
 
 
-def _meet_curves(a: Curve, b: Curve, walk=None) -> Valuation:
-    """The meet of two distinct curves; ``walk``, when given, is a
-    ``BranchWalk`` of a's series, continued instead of a fresh walk."""
+def _meet_curves(a: Curve, b: Curve) -> Valuation:
+    """The meet of two distinct curves."""
     if a.branch.base != b.branch.base:
         return ROOT
     # walk both center paths together to their first divergence; a shared
     # truncation says nothing because its end may sit off the dual path
     # of the deeper curve
-    sa, sb = diverging_steps(a.branch.series if walk is None else walk,
-                             b.branch.series)
+    sa, sb = diverging_steps(a.branch.series, b.branch.series)
     merged, (ea, eb) = merge_paths([
         (a.branch.base, tuple(sa)), (b.branch.base, tuple(sb))])
     lca = merged.geometry().lca(ea, eb)

@@ -1,22 +1,22 @@
 """Slow reference computations kept only as test oracles."""
 
 from fractions import Fraction
+from math import floor, gcd
 from typing import Sequence
 
 from valinf import poly
-from valinf.cluster import (LINF, BranchWalk, Cluster, Free, SatU, SatV,
-                            branch_steps, chain_cluster, eval_divisorial,
-                            merge_paths)
+from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
+                            PuiseuxBranch, SatU, SatV, branch_steps,
+                            chain_cluster, eval_divisorial, merge_paths)
 from valinf.errors import (InsufficientTruncation, InternalMismatch,
                            InvalidCluster, PreconditionViolated)
 from valinf.exact import (Ext, LinSolveResult, SymMatrixExt, _q,
                           sign_at_neg_infinity)
 from valinf.potential import EdgePoint, measure
-from valinf.puiseux import (_perturbed_curve, _simplest_between,
-                            weighted_branches)
-from valinf.series import LaurentSeries
-from valinf.valuations import (ROOT, Curve, Divisorial, _meet_curves,
-                               _wrap_lca, equal, path_key, skewness)
+from valinf.puiseux import weighted_branches
+from valinf.series import LaurentSeries, PuiseuxSeries
+from valinf.valuations import (ROOT, Curve, Divisorial, _wrap_lca, equal,
+                               path_key, skewness)
 
 
 def is_negative_definite(M: SymMatrixExt) -> bool:
@@ -124,10 +124,40 @@ def branch_to_nodes(base, series, depth: int):
     return cl, list(range(depth))
 
 
-def divisorial_on_segment_by_rebuild(branch, alpha):
-    """``puiseux.divisorial_on_segment`` with its profile rebuilt: each +8
-    round of the dual-path profile builds a fresh chain cluster, and its
-    whole geometry, from the root.
+def _perturbed_curve(branch, xi: Fraction) -> Curve:
+    """A terminating branch agreeing with the given one strictly below
+    exponent xi (in x_q^(1/m) units) and diverging exactly there."""
+    s = branch.series
+    mp = (s.m * xi.denominator) // gcd(s.m, xi.denominator)
+    scale = mp // s.m
+    jstar = int(xi * mp)
+    coeffs = {}
+    cstar = Fraction(1)
+    for j, c in s.coeffs:
+        if Fraction(j, s.m) < xi:
+            coeffs[j * scale] = c
+        elif Fraction(j, s.m) == xi:
+            cstar = c + 1
+    coeffs[jstar] = cstar
+    series = PuiseuxSeries.make(mp, coeffs, max(jstar, 1), exact=True)
+    return Curve(PuiseuxBranch(base=branch.base, series=series, minpoly=None))
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest-denominator rational strictly inside (lo, hi)."""
+    il = floor(lo)
+    if il + 1 < hi:
+        return Fraction(il + 1)
+    if lo == il:
+        return il + Fraction(1, floor(1 / (hi - il)) + 1)
+    return il + 1 / _simplest_between(1 / (hi - il), 1 / (lo - il))
+
+
+def divisorial_on_segment_by_probes(branch, alpha):
+    """``puiseux.divisorial_on_segment`` as a secant-and-bisection search
+    over curves perturbed off the branch, with its profile rebuilt: each
+    +8 round of the dual-path profile builds a fresh chain cluster, and
+    its whole geometry, from the root.
 
     The divisorial valuation of given skewness on [root, branch].
 
@@ -138,7 +168,8 @@ def divisorial_on_segment_by_rebuild(branch, alpha):
     -m / (b_i b_j) read off the edge, so each probe is projected to the
     target with the exact local slope and lands one edge closer at
     worst; simplest-rational bisection is the fallback that keeps probe
-    denominators small.
+    denominators small.  Each probe meets the branch's one walk,
+    continued, with a fresh walk of the perturbed curve.
     """
     alpha = Ext(_q(alpha))
     if alpha >= Ext(1):
@@ -185,7 +216,13 @@ def divisorial_on_segment_by_rebuild(branch, alpha):
     def probe(xi):
         # meet(cv, other), continuing the walk of cv's own branch
         other = _perturbed_curve(branch, xi)
-        m = cv if equal(cv, other) else _meet_curves(cv, other, walk)
+        if equal(cv, other):
+            return skewness(cv), cv
+        sa, sb = diverging_walk_steps(
+            (walk, BranchWalk(other.branch.series)), DIVERGING_WORKS)
+        merged, (ea, eb) = merge_paths([(branch.base, tuple(sa)),
+                                        (branch.base, tuple(sb))])
+        m = _wrap_lca(merged.geometry().lca(ea, eb), merged, cv, other)
         return skewness(m), m
 
     lo = Fraction(1, 2 * ram)
@@ -230,8 +267,9 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
     Atoms where the valuation of Q first reaches zero on the way from
     the root to each branch at infinity, weighted by the branch masses.
 
-    With materialize=True interior atoms are realized as divisorial
-    valuations; otherwise they stay segment points, which is cheaper.
+    With materialize=True interior atoms are realized by the probe search
+    ``divisorial_on_segment_by_probes``; otherwise they stay segment
+    points.
     """
     pairs = weighted_branches(Q, K)
     walks = [BranchWalk(b.series) for b, _ in pairs]
@@ -259,7 +297,7 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
                     astar = a0 + (-vals[prev]) * (a1 - a0) / \
                         (vals[n] - vals[prev])
                     if materialize:
-                        crossing = divisorial_on_segment_by_rebuild(b, astar)
+                        crossing = divisorial_on_segment_by_probes(b, astar)
                     else:
                         crossing = EdgePoint(Curve(b), astar)
                     break
@@ -417,9 +455,9 @@ class FullPrecisionWalk:
                     raise
 
 
-def full_diverging_steps(walks):
-    """``cluster.diverging_steps`` on two ``FullPrecisionWalk``s."""
-    works = FULL_DIVERGING_WORKS
+def diverging_walk_steps(walks, works):
+    """``cluster.diverging_steps`` on two given walks, ``BranchWalk``s or
+    ``FullPrecisionWalk``s, continued on the schedule ``works``."""
     k = 0
     while True:
         if k == works[-1] // 4:
@@ -441,3 +479,8 @@ def full_diverging_steps(walks):
                     "satellite cascade beyond the exploration depth")
         out.append(walk.steps(n + 1))
     return tuple(out)
+
+
+def full_diverging_steps(walks):
+    """``cluster.diverging_steps`` on two ``FullPrecisionWalk``s."""
+    return diverging_walk_steps(walks, FULL_DIVERGING_WORKS)

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import valinf.cluster as cluster
 from oracles import (FULL_DIVERGING_WORKS, FullPrecisionWalk,
-                     full_diverging_steps)
+                     diverging_walk_steps, full_diverging_steps)
 from valinf import poly
 from valinf.cluster import (BranchWalk, Cluster, Free, Node, PointAtInfinity,
                             PuiseuxBranch, SatU, SatV, branch_steps,
@@ -606,7 +606,8 @@ def serve(walk, request):
         return full_diverging_steps((walk, FullPrecisionWalk(arg)))
     if kind == "step":
         return walk.step(arg, cluster.DIVERGING_WORKS)
-    return diverging_steps(walk, arg)
+    return diverging_walk_steps((walk, BranchWalk(arg)),
+                                cluster.DIVERGING_WORKS)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -715,7 +716,7 @@ def counted(monkeypatch):
 def test_logplus_laplacian_walks_each_branch_once(counted):
     calls, walks = counted
     Q = poly.parse("y^3-x^5+x*y")      # one branch, ramified: m = 5
-    logplus_laplacian(Q, materialize=False)
+    logplus_laplacian(Q)
     assert len(walks) == len(weighted_branches(Q)) == 1
     (walk, depths), = walks
     assert walk.series.m == 5
@@ -750,13 +751,13 @@ def test_segment_search_walks_its_branch_once(counted):
     calls, walks = counted
     (b, _), = weighted_branches(poly.parse("y^3-x^5+x*y"))
     d = divisorial_on_segment(b, F(-5, 2))
-    # every probe meets the branch with a perturbed curve: the branch is
-    # one walker, continued to the deepest center any probe reached
-    own = [w for w, _ in walks if w.series == b.series]
-    assert len(own) == 1 and len(walks) > 1
-    walk, = own
-    assert calls.count(walk) == len(walk._steps) == 87
-    # the divisorial found when each probe walked the branch afresh
+    # one walker deepens the profile in +8 rounds until it passes below
+    # the skewness, and the answer is read off an edge with no more walks
+    (walk, depths), = walks
+    assert walk.series == b.series
+    assert depths == list(range(8, 89, 8))
+    assert len(calls) == len(walk._steps) == 87
+    # the divisorial that the probe search finds
     steps = [SatU(), SatU(), SatV()]
     for c in [1, 1, 3, 12, 55, 273, 1428, 7752, 43263, 246675, 1430715]:
         steps += [Free(F(c))] + [Free(F(0))] * 6

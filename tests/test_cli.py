@@ -437,3 +437,84 @@ def test_mutated_scenario_exits_with_a_documented_code(tmp_path, doc, argv):
         rc = main([argv[0], "-f", str(p), *argv[1:]])
     assert rc in (0, 2, 3), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# command line fuzz: every command with flags of every command, and flag
+# values that are 0, negative, huge or not integers
+ARGV_DOC = dict(SCENARIO, algebraize=ALGEBRAIZE["algebraize"])
+ARGV_BASE = {"skewness": [], "thinness": ["m1"], "matrix": ["m1", "m0"],
+             "chi": ["m1", "m0"], "classify": ["m1", "m0"],
+             "find-positive": ["m1"], "dirichlet": ["m1"],
+             "meet": ["m1", "m0"], "eval": ["m1", "Q"], "laplacian": ["Q"],
+             "log-laplacian": ["Q"], "oracle-check": [], "algebraize": []}
+ARGV_FLAGS = ["--max-degree", "--seed", "--count", "-f", "--json"]
+ARGV_VALUES = ["0", "-1", "-7", "3", str(10 ** 30), str(2 ** 64), "1.5",
+               "abc", "", "1e3", "0x10", "9" * 5000, "@file"]
+
+
+@st.composite
+def fuzzed_flags(draw, command):
+    argv = list(ARGV_BASE[command])
+    if command != "oracle-check" and draw(st.integers(0, 4)):
+        argv += ["-f", "@file"]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(ARGV_FLAGS))
+        argv += [flag] if flag == "--json" else \
+            [flag, draw(st.sampled_from(ARGV_VALUES))]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(ARGV_BASE))
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_command_line_exits_with_a_documented_code(tmp_path, command,
+                                                          data):
+    p = tmp_path / "argv.json"
+    p.write_text(json.dumps(ARGV_DOC))
+    argv = [str(p) if a == "@file" else a
+            for a in data.draw(fuzzed_flags(command))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, *argv])
+    err = err.getvalue()
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err
+    if rc == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--count", "-2"],
+    ["oracle-check", "--count", "0"],
+    ["oracle-check", "--count", str(cli.MAX_ORACLE_COUNT + 1)],
+    ["oracle-check", "--count", "2.5"],
+    ["oracle-check", "--seed", "x"],
+    ["oracle-check", "-f", "s.json"],
+    ["oracle-check", "--max-degree", "3"],
+    ["skewness", "-f", "s.json", "--max-degree", "-5", "--count", "-3",
+     "--seed", "7"],
+    ["skewness", "-f", "s.json", "--seed", "7"],
+    ["laplacian", "-f", "s.json", "--max-degree", "6", "Q"],
+    ["eval", "m1", "Q"],
+], ids=["count-negative", "count-zero", "count-above-cap", "count-float",
+        "seed-text", "oracle-check-file", "oracle-check-degree",
+        "skewness-foreign-flags", "skewness-seed", "laplacian-degree",
+        "eval-without-file"])
+def test_flags_a_command_does_not_take_exit_2(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: valinf") and err.count("\n") == 1
+
+
+def test_benchmark_command_lines_parse(scfile, algfile, capsys):
+    for argv in (["classify", "-f", scfile, "--json", "--max-degree", "3"],
+                 ["laplacian", "-f", scfile, "--json", "Q"],
+                 ["log-laplacian", "-f", scfile, "--json", "Q"],
+                 ["algebraize", "-f", algfile, "--json"]):
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0 and json.loads(out)

@@ -10,10 +10,13 @@ from oracles import branch_to_nodes
 from valinf.cluster import (MAX_CHAIN_STEPS, Cluster, Free, LINF, Node,
                             PointAtInfinity, SatU, SatV, branch_steps,
                             chain_cluster, eval_divisorial, merge_paths,
-                            monomial_to_node, ord_along_path)
-from valinf.errors import InvalidCluster, RootValuation, ZeroPolynomial
+                            monomial_to_node, ord_along_path,
+                            segment_point_key)
+from valinf.errors import (InvalidCluster, PreconditionViolated,
+                           RootValuation, ZeroPolynomial)
 from valinf.randomized import random_cluster
 from valinf.series import PuiseuxSeries
+from valinf.valuations import Monomial, path_key, skewness
 
 F = Fraction
 PX0 = PointAtInfinity("x", F(0))
@@ -235,3 +238,73 @@ def test_strict_memo_evicts_the_oldest_polynomial(monkeypatch):
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# divisorials inside a dual edge, in closed form
+# ---------------------------------------------------------------------------
+
+
+def edge_point(cl, hi, lo, alpha):
+    """``segment_point_key`` checked against a merge: with the key's path
+    added to every path of ``cl``, its end has skewness alpha and lies on
+    the dual path of lo, so inside the edge (hi, lo)."""
+    key = segment_point_key(cl, hi, lo, alpha)
+    merged, ends = merge_paths([cl.key(i) for i in range(len(cl))] + [key])
+    g = merged.geometry()
+    assert g.alpha[ends[-1]] == alpha
+    assert ends[-1] in g.dual_path(ends[lo])
+    return key
+
+
+def test_segment_point_next_to_linf_is_a_monomial_valuation():
+    # the edge from L-infinity to the root at [1 : 0 : 0] holds the
+    # monomial valuations v_{-1,t} for -1 < t < 0, of skewness -t
+    cl = chain_cluster(PX0, [])
+    for t in [F(-1, 2), F(-1, 3), F(-2, 3), F(-3, 7), F(-9, 10)]:
+        v = Monomial(F(-1), t)
+        key = edge_point(cl, LINF, 0, -t)
+        assert skewness(v).q == -t
+        assert key == path_key(v)
+        assert key[1][0] == SatU()
+
+
+def test_segment_point_on_an_edge_whose_younger_end_is_its_upper_end():
+    # Free(0), then SatU: node 2 lies between the root and node 1 on the
+    # dual path of node 1, and its axes hold node 1, its v-axis
+    cl = chain_cluster(PY, [Free(F(0)), SatU()])
+    g = cl.geometry()
+    assert g.dual_path(1) == [LINF, 0, 2, 1]
+    hi, lo = 2, 1
+    for k in range(1, 6):
+        alpha = g.alpha[hi] + (g.alpha[lo] - g.alpha[hi]) * F(k, 6)
+        key = edge_point(cl, hi, lo, alpha)
+        assert key[1][:3] == (Free(F(0)), SatU(), SatV())
+    # the other edge of node 2, to the root, is its u-axis
+    alpha = (g.alpha[0] + g.alpha[2]) / 2
+    assert edge_point(cl, 0, 2, alpha)[1][:3] == (Free(F(0)), SatU(), SatU())
+
+
+def test_segment_point_needs_a_point_strictly_inside_an_edge():
+    cl = chain_cluster(PY, [Free(F(0)), SatU()])
+    g = cl.geometry()
+    for hi, lo, alpha in [(2, 1, g.alpha[2]), (2, 1, g.alpha[1]),
+                          (0, 1, (g.alpha[0] + g.alpha[1]) / 2),
+                          (2, LINF, F(1, 2)), (2, 1, F(5))]:
+        with pytest.raises(PreconditionViolated):
+            segment_point_key(cl, hi, lo, alpha)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_segment_points_subdivide_their_edges(seed):
+    rng = random.Random(seed)
+    cl = random_cluster(rng, max_nodes=10, n_roots=rng.choice([1, 2]))
+    g = cl.geometry()
+    path = g.dual_path(rng.randrange(len(cl)))
+    k = rng.randrange(len(path) - 1)
+    hi, lo = path[k], path[k + 1]
+    n = rng.randint(2, 7)
+    t = F(rng.randrange(1, n), n)
+    alpha = g.alpha[hi] + (g.alpha[lo] - g.alpha[hi]) * t
+    edge_point(cl, hi, lo, alpha)

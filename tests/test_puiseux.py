@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import (divisorial_on_segment_by_probes,
+                     logplus_laplacian_by_rebuild)
 from valinf import poly
-from valinf.cluster import PointAtInfinity
+from valinf.cluster import (PointAtInfinity, SatU, SatV, branch_steps,
+                            chain_cluster)
 from valinf.errors import InternalMismatch, NeedsFieldExtension, ZeroOrConstant
 from valinf.exact import Ext, NEG_INF, POS_INF
 from valinf.potential import EdgePoint, point_skewness
@@ -12,7 +15,7 @@ from valinf.puiseux import (_tail_coeffs, branches_at_infinity,
                             divisorial_on_segment, log_laplacian, log_value,
                             logplus_laplacian, weighted_branches)
 from valinf.valuations import (Comparison, Curve, Divisorial, Monomial, ROOT,
-                               compare, evaluate, meet, skewness)
+                               compare, evaluate, meet, path_key, skewness)
 
 F = Fraction
 PX0 = PointAtInfinity("x", F(0))
@@ -201,22 +204,28 @@ class TestLogPlusLaplacian:
             == Comparison.EQ
 
     def test_unmaterialized_atoms_match(self):
+        # the atoms have the skewness and mass of the segment points that
+        # a run realizing no crossing keeps
         for s in ["y^2-x", "y^3-x*y-1", "x*(x*y-1)", "y*(x*y^2-1)"]:
             Q = poly.parse(s)
-            mat = logplus_laplacian(Q, materialize=True)
-            lazy = logplus_laplacian(Q, materialize=False)
-            assert mat.total_mass == lazy.total_mass
-            assert sorted(point_skewness(p) for p, _ in mat.atoms) \
-                == sorted(point_skewness(p) for p, _ in lazy.atoms)
+            rho = logplus_laplacian(Q)
+            lazy = logplus_laplacian_by_rebuild(Q, materialize=False)
+            assert rho.total_mass == lazy.total_mass
+            assert sorted((point_skewness(p), m) for p, m in rho.atoms) \
+                == sorted((point_skewness(p), m) for p, m in lazy.atoms)
 
-    def test_interior_crossing_stays_lazy(self):
-        # zero level strictly inside a dual edge: a lazy run keeps the
-        # point symbolic, a materialized run pins it down
-        lazy = logplus_laplacian(poly.parse("x*(x*y-1)"), materialize=False)
-        assert any(isinstance(p, EdgePoint) and point_skewness(p) == Ext(F(-1, 2))
+    def test_interior_crossing_is_read_off_its_edge(self):
+        # the zero level of x*(x*y-1) lies strictly inside a dual edge, at
+        # skewness -1/2; its atom is the divisorial there, where v(Q) = 0
+        Q = poly.parse("x*(x*y-1)")
+        lazy = logplus_laplacian_by_rebuild(Q, materialize=False)
+        assert any(isinstance(p, EdgePoint)
+                   and point_skewness(p) == Ext(F(-1, 2))
                    for p, _ in lazy.atoms)
-        mat = logplus_laplacian(poly.parse("x*(x*y-1)"), materialize=True)
-        assert all(isinstance(p, Divisorial) for p, _ in mat.atoms)
+        rho = logplus_laplacian(Q)
+        assert all(isinstance(p, Divisorial) for p, _ in rho.atoms)
+        inner = [p for p, _ in rho.atoms if skewness(p) == Ext(F(-1, 2))]
+        assert inner and all(evaluate(p, Q) == Ext(0) for p in inner)
 
     def test_repeated_factor_scales_atom(self):
         single = logplus_laplacian(poly.parse("y-x^2"))
@@ -249,6 +258,33 @@ class TestDivisorialOnSegment:
         d = divisorial_on_segment(b, F(0))
         (p, _), = logplus_laplacian(poly.parse("y^2-x^3")).atoms
         assert compare(d, p) == Comparison.EQ
+
+    def test_skewness_of_a_center_returns_that_center(self):
+        (b, _), = weighted_branches(poly.parse("y^3-x^5+x*y"))
+        cl = chain_cluster(b.base, branch_steps(b.base, b.series, 8))
+        g = cl.geometry()
+        for n in g.dual_path(7)[1:]:
+            d = divisorial_on_segment(b, g.alpha[n])
+            assert path_key(d) == cl.key(n)
+            assert d.node in d.cluster.geometry().dual_path(len(d.cluster) - 1)
+
+    def test_closed_form_answers_where_the_probe_search_runs_out(self):
+        # y^2-x^5+x^3*y has an m = 3 and an m = 2 branch at [0 : 1 : 0];
+        # their segments share the points above skewness 1/2
+        Q = poly.parse("y^2-x^5+x^3*y")
+        by_m = {b.series.m: b for b, _ in weighted_branches(Q)}
+        assert by_m[3].base == by_m[2].base == PY
+        want = (PY, (SatU(), SatU(), SatV(), SatV()))
+        # the probe search finds it on the m = 2 branch; on the m = 3 one
+        # it raises InsufficientTruncation after about 10 s of probes
+        assert path_key(divisorial_on_segment_by_probes(by_m[2], F(4, 7))) \
+            == want
+        d = divisorial_on_segment(by_m[3], F(4, 7))
+        assert path_key(d) == want
+        assert evaluate(d, Q) == -log_value(Q, d) == Ext(F(-20, 7))
+        d = divisorial_on_segment(by_m[3], F(6, 7))
+        assert path_key(d) == (PY, (SatU(),) * 6)
+        assert skewness(d) == Ext(F(6, 7))
 
 
 def poly_u_coeff(G, s, k_max):
