@@ -1,13 +1,14 @@
-"""Count the rounds and the geometry work of ``logplus_laplacian``.
+"""Count the work of ``logplus_laplacian``.
 
 For each polynomial, one ``puiseux.logplus_laplacian(Q)`` call is timed
 with ``time.perf_counter`` and one JSON line is printed: the polynomial,
-the rounds (the deepening passes over its branches), the calls of
-``cluster.build_geometry`` and of ``eval_divisorial``, and the seconds.
-The branches are expanded before the clock starts, so the time is that
-of the log-Laplacian alone.  The calls are counted by wrappers that this
-script puts around the library's functions; the library itself counts
-nothing.
+its branches, the curve meets of branch pairs, the branch center steps,
+the calls of ``cluster.build_geometry`` and of ``eval_divisorial``, and
+the seconds.  The atoms are read off the Green identity, so Q is never
+evaluated and ``eval_divisorial`` stays at 0.  The branches are expanded
+before the clock starts, so the time is that of the log-Laplacian alone.
+The calls are counted by wrappers that this script puts around the
+library's functions; the library itself counts nothing.
 
 Usage: python3 scripts/laplacian_rounds.py [POLY ...]
 """
@@ -19,9 +20,11 @@ import time
 
 import valinf.cluster as cluster
 import valinf.puiseux as puiseux
+import valinf.valuations as valuations
 from valinf import poly
 
-POLYS = ["y^3-x^4+1/2", "y^2-x^5+x^3*y", "y^3-x^5+x*y", "y^4-x^3*y+x^5-2"]
+POLYS = ["y^3-x^4+1/2", "y^2-x^5+x^3*y", "y^3-x^5+x*y", "y^4-x^3*y+x^5-2",
+         "(y^2-x^3)*(y^2-x^3-x^2*y)"]
 
 
 def counting(calls, name, module, attr):
@@ -40,36 +43,24 @@ def main():
     ap.add_argument("polys", nargs="*", default=POLYS)
     args = ap.parse_args()
 
-    calls = {"build_geometry": 0, "eval_divisorial": 0}
+    calls = {"meets": 0, "center_steps": 0, "build_geometry": 0,
+             "eval_divisorial": 0}
+    counting(calls, "meets", puiseux, "_meet_curves")
+    counting(calls, "center_steps", cluster, "_center_step")
     counting(calls, "build_geometry", cluster, "build_geometry")
-    counting(calls, "eval_divisorial", puiseux, "eval_divisorial")
-    # a round asks each branch's walk for its steps once, and the
-    # log-Laplacian makes its walks before any other; so the rounds are
-    # the requests to the first walk made in the call
-    walks = []
-    init, steps = cluster.BranchWalk.__init__, cluster.BranchWalk.steps
-
-    def recording_init(self, series):
-        init(self, series)
-        walks.append([self, 0])
-
-    def counting_steps(self, depth, works=None):
-        next(w for w in walks if w[0] is self)[1] += 1
-        return steps(self, depth, works)
-
-    cluster.BranchWalk.__init__ = recording_init
-    cluster.BranchWalk.steps = counting_steps
+    # the one function and both names it is called by
+    counting(calls, "eval_divisorial", cluster, "eval_divisorial")
+    valuations.eval_divisorial = cluster.eval_divisorial
 
     for text in args.polys:
         Q = poly.parse(text)
-        puiseux.weighted_branches(Q)
-        walks.clear()
+        branches = len(puiseux.weighted_branches(Q))
         for k in calls:
             calls[k] = 0
         t0 = time.perf_counter()
         puiseux.logplus_laplacian(Q)
         seconds = time.perf_counter() - t0
-        print(json.dumps({"polynomial": text, "rounds": walks[0][1],
+        print(json.dumps({"polynomial": text, "branches": branches,
                           **calls, "seconds": round(seconds, 4)}),
               flush=True)
     return 0

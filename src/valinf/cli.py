@@ -186,37 +186,34 @@ def cmd_find_positive(args, sc):
     return 0
 
 
-def cmd_laplacian(args, sc):
-    from .puiseux import log_laplacian
-
-    Q = _need(sc, "polynomial", args.polynomial)
-    rho = log_laplacian(Q)
+def _emit_measure(args, rho, with_alpha: bool) -> int:
+    """Print the atoms of ``rho`` (with their skewness if ``with_alpha``)
+    and its total mass."""
     lines, atoms = [], []
     for p, m in rho.atoms:
         lines.append(f"mass {format_rational(m)} at {_describe_point(p)}")
-        atoms.append({"mass": format_rational(m),
-                      "point": format_valuation(p)})
+        atom = {"mass": format_rational(m)}
+        if with_alpha:
+            atom["alpha"] = format_ext(point_skewness(p))
+        atoms.append(dict(atom, point=format_valuation(p)))
     lines.append(f"total mass {format_rational(rho.total_mass)}")
     _emit(args, "\n".join(lines),
           {"atoms": atoms, "total_mass": format_rational(rho.total_mass)})
     return 0
+
+
+def cmd_laplacian(args, sc):
+    from .puiseux import log_laplacian
+
+    Q = _need(sc, "polynomial", args.polynomial)
+    return _emit_measure(args, log_laplacian(Q), False)
 
 
 def cmd_log_laplacian(args, sc):
     from .puiseux import logplus_laplacian
 
     Q = _need(sc, "polynomial", args.polynomial)
-    rho = logplus_laplacian(Q)
-    lines, atoms = [], []
-    for p, m in rho.atoms:
-        a = format_ext(point_skewness(p))
-        lines.append(f"mass {format_rational(m)} at {_describe_point(p)}")
-        atoms.append({"mass": format_rational(m), "alpha": a,
-                      "point": format_valuation(p)})
-    lines.append(f"total mass {format_rational(rho.total_mass)}")
-    _emit(args, "\n".join(lines),
-          {"atoms": atoms, "total_mass": format_rational(rho.total_mass)})
-    return 0
+    return _emit_measure(args, logplus_laplacian(Q), True)
 
 
 def cmd_dirichlet(args, sc):

@@ -99,8 +99,8 @@ class Cluster:
     It caches its geometry and, for the last ``STRICT_MEMO_POLYS``
     polynomials evaluated on it, the strict transform and ord at every
     node reached so far (see ``ord_along_path``).  A cluster made by a
-    ``PathTrie`` shares that memo, and the per-node geometry rows until
-    its geometry is built, with the trie's other clusters.
+    ``PathTrie`` shares the per-node geometry rows with the trie's other
+    clusters until its geometry is built.
     """
 
     STRICT_MEMO_POLYS = 8
@@ -183,11 +183,10 @@ class PathTrie:
     returns ``(Cluster, ends)``: the new cluster's nodes extend those of
     the previous one with the same indices.
 
-    What depends only on a node's own center path is computed once per
-    trie and shared by all its clusters: the geometry rows (strict
-    transforms of x and y, ord_x, ord_y, ord_w and b; see
-    ``build_geometry``) and the strict-transform memo of evaluated
-    polynomials.  So a caller that deepens its paths round by round
+    The geometry rows of a node (strict transforms of x and y, ord_x,
+    ord_y, ord_w and b; see ``build_geometry``) depend only on its own
+    center path, so they are computed once per trie and shared by all
+    its clusters.  A caller that deepens its paths round by round
     transforms each node once, and each round's geometry only redoes the
     intersection matrix, the dual tree, skewness and thinness.
 
@@ -200,13 +199,12 @@ class PathTrie:
     built.
     """
 
-    __slots__ = ("nodes", "_index", "_rows", "_strict")
+    __slots__ = ("nodes", "_index", "_rows")
 
     def __init__(self):
         self.nodes = []
         self._index = {}
         self._rows = []
-        self._strict = {}
 
     def add(self, paths):
         """Merge ``paths``, each (base, steps); returns (Cluster, node
@@ -228,7 +226,6 @@ class PathTrie:
             ends.append(i)
         cl = Cluster(nodes)
         cl._rows = self._rows
-        cl._strict = self._strict
         return cl, ends
 
 

@@ -10,17 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 
 from . import poly
-from .cluster import (BranchWalk, PathTrie, PointAtInfinity, PuiseuxBranch,
-                      base_strict_series, chain_cluster, eval_divisorial,
-                      segment_point_key, LINF)
-from .errors import (InternalMismatch, NeedsFieldExtension,
-                     PreconditionViolated, PrecisionExceeded, ZeroOrConstant)
+from .cluster import (BranchWalk, Free, PathTrie, PointAtInfinity,
+                      PuiseuxBranch, base_strict_series, chain_cluster,
+                      segment_point_key)
+from .errors import (InsufficientTruncation, InternalMismatch,
+                     NeedsFieldExtension, PreconditionViolated,
+                     PrecisionExceeded, ZeroOrConstant)
 from .exact import Ext, _q, ext_sum, rational_root
 from .potential import DiscreteMeasure, measure, point_green
 from .series import PuiseuxSeries
-from .valuations import Curve, Divisorial
+from .valuations import Curve, Divisorial, _meet_curves, skewness
 
 
 # ---------------------------------------------------------------------------
@@ -289,30 +291,31 @@ def log_value(Q: dict, v, K=None) -> Ext:
 # ---------------------------------------------------------------------------
 
 
-def _divisorial_on_edge(cl, hi, lo, alpha) -> Divisorial:
-    """The divisorial of skewness alpha inside the dual edge (hi, lo) of
-    ``cl``, on a chain cluster of its own."""
-    base, steps = segment_point_key(cl, hi, lo, alpha)
-    return Divisorial(chain_cluster(base, steps), len(steps))
+# deepest center that divisorial_on_segment walks to: on 2 vCPUs the walk
+# of the exact branch of scripts/walk_depth.py there takes about 3.5 s
+MAX_SEGMENT_DEPTH = 1024
 
 
 def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     """The divisorial valuation of given skewness on [root, branch].
 
-    Skewness decreases along the dual path of the branch's first
-    centers, which is deepened in +8 rounds until its end lies below
-    alpha.  A center of skewness alpha on it is returned as it is.
-    Otherwise alpha lies strictly inside one edge of the path, and the
-    divisorial is read off that edge in closed form: the monomial
-    valuation at the edge's satellite point whose weights the skewness
-    and multiplicities of the edge fix (``cluster.segment_point_key``).
+    The branch passes through a free point of the divisor E of each
+    center that a free step leaves, so E and its dual path lie on
+    [root, branch], where skewness decreases.  The centers are walked
+    until such an E lies at or below alpha; then alpha is a center on
+    E's dual path, or lies inside one edge of it and is read off that
+    edge in closed form (``cluster.segment_point_key``).  The
+    multiplicity b does not decrease along [root, branch], so below E
+    each dual edge lowers skewness by at most 1/b_E^2: a round deepens
+    by 8 centers, or at once by the (alpha_E - alpha) b_E^2 that alpha
+    needs at least, and raises PrecisionExceeded past
+    ``MAX_SEGMENT_DEPTH``.  A truncated branch raises
+    InsufficientTruncation if the centers it certifies fall short.
 
-    Cost: one walk of the branch, on one ``BranchWalk``, to the first +8
-    depth whose dual path reaches below alpha; the rounds grow one
-    ``PathTrie``, so each round's geometry transforms only its new
-    nodes.  No curve is met and no probe is run.  An answer off the
-    centers adds a chain cluster: the path of the edge's younger end,
-    its satellite point and at most ``MAX_CHAIN_STEPS`` centers more.
+    Cost: one walk of the branch, on one ``BranchWalk`` and one
+    ``PathTrie`` whose rounds transform only their new nodes; an answer
+    inside an edge adds a chain cluster of the younger end's path, the
+    edge's satellite point and at most ``MAX_CHAIN_STEPS`` centers more.
     """
     alpha = _q(alpha)
     if alpha >= 1:
@@ -321,17 +324,33 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     trie = PathTrie()
     depth = 8
     while True:
-        cl, (end,) = trie.add([(branch.base, walk.steps(depth))])
+        if depth > MAX_SEGMENT_DEPTH:
+            raise PrecisionExceeded(f"skewness {alpha} lies more than "
+                                    f"{MAX_SEGMENT_DEPTH} centers deep")
+        try:
+            steps, short = walk.steps(depth), False
+        except InsufficientTruncation:
+            steps, short = walk.steps(walk.depth), True
+        # one chain: node k is the center after k steps
+        cl, _ = trie.add([(branch.base, steps)])
         g = cl.geometry()
-        if g.alpha[end] < alpha:
+        end = max((k for k, st in enumerate(steps) if isinstance(st, Free)),
+                  default=None)
+        if end is not None and g.alpha[end] <= alpha:
             break
+        if short:
+            walk.steps(depth)           # raises the walk's error again
         depth += 8
+        if end is not None:
+            depth = max(depth, end + 2 + ceil(
+                (g.alpha[end] - alpha) * g.b[end] ** 2))
     path = g.dual_path(end)
     for hi, lo in zip(path, path[1:]):
         if g.alpha[lo] == alpha:
             return Divisorial(cl, lo)
         if g.alpha[lo] < alpha:
-            return _divisorial_on_edge(cl, hi, lo, alpha)
+            base, steps = segment_point_key(cl, hi, lo, alpha)
+            return Divisorial(chain_cluster(base, steps), len(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -339,53 +358,40 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
 # ---------------------------------------------------------------------------
 
 
+def _crossing(w, others) -> Fraction:
+    """The a < 1 with w a + sum_j w_j max(a, t_j) = 0, over the pairs
+    (w_j > 0, t_j <= 1) of ``others`` and for w > 0; the sum increases
+    and is linear between the t_j, which are passed from the largest."""
+    held, free = Fraction(0), w + sum(wj for wj, _ in others)
+    for wj, t in sorted(others, key=lambda p: -p[1]):
+        if t <= -held / free:
+            break
+        held, free = held + wj * t, free - wj
+    return -held / free
+
+
 def logplus_laplacian(Q: dict, K=None) -> DiscreteMeasure:
     """Atoms where the valuation of Q first reaches zero on the way from
     the root to each branch at infinity, weighted by the branch masses.
 
-    Each atom is a divisorial valuation.  A zero strictly inside a dual
-    edge is read off that edge in closed form, as in
-    ``divisorial_on_segment``, with no further walk.
+    By the Green identity v(Q) = -sum_j w_j alpha(v ^ b_j) over the
+    branches b_j with masses w_j = e_j m_j (Favre-Jonsson, *The Valuative
+    Tree*, LNM 1853), and since the point of skewness a on [root, b_i]
+    meets b_j at itself while a >= alpha(b_i ^ b_j) and at b_i ^ b_j
+    below, the atom of b_i sits at the skewness a* with
+        w_i a* + sum_{j != i} w_j max(a*, alpha(b_i ^ b_j)) = 0.
+    The left side is increasing and piecewise linear in a, and positive
+    at a = 1, so a* < 1; the atom is ``divisorial_on_segment(b_i, a*)``.
 
-    Cost: a branch whose crossing is not yet on its dual path is deepened
-    by 4 centers and the round is redone.  The rounds grow one
-    ``PathTrie``, and v(Q) is kept by node index (a node's value depends
-    only on its center path), so over all rounds each node is
-    transformed once for x and y, Q is evaluated once per dual-path
-    node, and a round costs O(n) on the n nodes besides.
+    Cost: one curve meet per pair of branches (at the root, with no walk,
+    for a pair at different points of L-infinity) and one
+    ``divisorial_on_segment`` per branch; Q is never transformed.
     """
-    pairs = weighted_branches(Q, K)
-    walks = [BranchWalk(b.series) for b, _ in pairs]
-    depths = [6] * len(pairs)
-    trie = PathTrie()
-    vals = {LINF: Fraction(-poly.degree(Q))}
-    while True:
-        paths = [(b.base, tuple(walks[i].steps(depths[i])))
-                 for i, (b, _) in enumerate(pairs)]
-        merged, ends = trie.add(paths)
-        g = merged.geometry()
-        atoms = []
-        redo = False
-        for i, (b, e) in enumerate(pairs):
-            path = g.dual_path(ends[i])
-            for n in path:
-                if n not in vals:
-                    vals[n] = eval_divisorial(merged, n, Q)
-            crossing = None
-            for prev, n in zip(path, path[1:]):
-                if vals[n] == 0:
-                    crossing = Divisorial(merged, n)
-                    break
-                if vals[n] > 0:
-                    a0, a1 = g.alpha[prev], g.alpha[n]
-                    astar = a0 + (-vals[prev]) * (a1 - a0) / \
-                        (vals[n] - vals[prev])
-                    crossing = _divisorial_on_edge(merged, prev, n, astar)
-                    break
-            if crossing is None:
-                depths[i] += 4
-                redo = True
-                break
-            atoms.append((crossing, e * b.multiplicity))
-        if not redo:
-            return measure(atoms)
+    pairs = [(b, e * b.multiplicity) for b, e in weighted_branches(Q, K)]
+    t = {}                              # t[i, j] = alpha(b_i ^ b_j)
+    for i, (b, _) in enumerate(pairs):
+        for j, (c, _) in enumerate(pairs[:i]):
+            t[i, j] = t[j, i] = skewness(_meet_curves(Curve(b), Curve(c))).q
+    return measure((divisorial_on_segment(b, _crossing(
+        w, [(wj, t[i, j]) for j, (_, wj) in enumerate(pairs) if j != i])), w)
+        for i, (b, w) in enumerate(pairs))

@@ -260,9 +260,10 @@ def divisorial_on_segment_by_probes(branch, alpha):
 
 
 def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
-    """``puiseux.logplus_laplacian`` with every round rebuilt: each +4 round
-    merges every path afresh, builds the whole geometry and evaluates Q
-    again at every dual-path node.
+    """The round-based search that the Green identity of
+    ``puiseux.logplus_laplacian`` replaced, with every round rebuilt: each
+    +4 round merges every path afresh, builds the whole geometry and
+    evaluates Q again at every dual-path node.
 
     Atoms where the valuation of Q first reaches zero on the way from
     the root to each branch at infinity, weighted by the branch masses.

@@ -713,15 +713,39 @@ def counted(monkeypatch):
     return calls, walks
 
 
-def test_logplus_laplacian_walks_each_branch_once(counted):
+def test_logplus_laplacian_walks_each_branch_once(counted, monkeypatch):
     calls, walks = counted
+    evaluated = []
+    ord_along_path = cluster.ord_along_path
+    monkeypatch.setattr(cluster, "ord_along_path",
+                        lambda *a: evaluated.append(a) or ord_along_path(*a))
     Q = poly.parse("y^3-x^5+x*y")      # one branch, ramified: m = 5
     logplus_laplacian(Q)
-    assert len(walks) == len(weighted_branches(Q)) == 1
+    # the atom sits at skewness 0 by the Green identity: one walk, which
+    # jumps from its first round to the depth that reaches it, and Q is
+    # never evaluated (the rounds asked 6, 10, 14, 18, 22 and evaluated
+    # Q at every node of the dual path)
+    assert evaluated == []
     (walk, depths), = walks
     assert walk.series.m == 5
-    assert depths == [6, 10, 14, 18, 22]        # four redo rounds
+    assert depths == [8, 20]
     assert len(calls) == len(walk._steps) == depths[-1] - 1
+
+
+def test_logplus_laplacian_walks_once_per_meet_and_atom(counted):
+    calls, walks = counted
+    Q = poly.parse("(y^2-x^3)*(y^2-x^3-x^2*y)")
+    bs = [b for b, _ in weighted_branches(Q)]
+    assert [(b.base, b.series.m) for b in bs] == \
+        [(PY, 3), (PY, 2), (PointAtInfinity("x", F(1)), 1)]
+    logplus_laplacian(Q)
+    # two walks for the meet of the pair at the point y, none for the
+    # pairs at different points, and one walk per atom
+    assert [(w.series, d) for w, d in walks] == [
+        (bs[1].series, [3]), (bs[0].series, [4]),
+        (bs[0].series, [8, 17]), (bs[1].series, [8, 16]),
+        (bs[2].series, [8])]
+    assert len(calls) == sum(len(w._steps) for w, _ in walks)
 
 
 def test_large_ramification_meet_walks_once(counted):
@@ -751,12 +775,14 @@ def test_segment_search_walks_its_branch_once(counted):
     calls, walks = counted
     (b, _), = weighted_branches(poly.parse("y^3-x^5+x*y"))
     d = divisorial_on_segment(b, F(-5, 2))
-    # one walker deepens the profile in +8 rounds until it passes below
-    # the skewness, and the answer is read off an edge with no more walks
+    # one walker: its first round ends at a divisor of skewness above
+    # -5/2, and the least depth that skewness needs below it is walked at
+    # once, where +8 rounds asked 8, 16, ..., 88; the answer is read off
+    # an edge with no more walks
     (walk, depths), = walks
     assert walk.series == b.series
-    assert depths == list(range(8, 89, 8))
-    assert len(calls) == len(walk._steps) == 87
+    assert depths == [8, 83]
+    assert len(calls) == len(walk._steps) == 82
     # the divisorial that the probe search finds
     steps = [SatU(), SatU(), SatV()]
     for c in [1, 1, 3, 12, 55, 273, 1428, 7752, 43263, 246675, 1430715]:

@@ -6,14 +6,16 @@ from hypothesis import given, settings, strategies as st
 from oracles import (divisorial_on_segment_by_probes,
                      logplus_laplacian_by_rebuild)
 from valinf import poly
-from valinf.cluster import (PointAtInfinity, SatU, SatV, branch_steps,
-                            chain_cluster)
-from valinf.errors import InternalMismatch, NeedsFieldExtension, ZeroOrConstant
+from valinf.cluster import (BranchWalk, PointAtInfinity, PuiseuxBranch, SatU,
+                            SatV, branch_steps, chain_cluster)
+from valinf.errors import (InternalMismatch, NeedsFieldExtension,
+                           PrecisionExceeded, ZeroOrConstant)
 from valinf.exact import Ext, NEG_INF, POS_INF
 from valinf.potential import EdgePoint, point_skewness
-from valinf.puiseux import (_tail_coeffs, branches_at_infinity,
+from valinf.puiseux import (_crossing, _tail_coeffs, branches_at_infinity,
                             divisorial_on_segment, log_laplacian, log_value,
                             logplus_laplacian, weighted_branches)
+from valinf.series import PuiseuxSeries
 from valinf.valuations import (Comparison, Curve, Divisorial, Monomial, ROOT,
                                compare, evaluate, meet, path_key, skewness)
 
@@ -286,6 +288,55 @@ class TestDivisorialOnSegment:
         assert path_key(d) == (PY, (SatU(),) * 6)
         assert skewness(d) == Ext(F(6, 7))
 
+    def test_a_satellite_run_is_walked_past_before_its_edges_are_read(self):
+        # y = x^(1/20) + x^(2/20): 19 SatU centers, then free ones whose
+        # skewness falls from 19/20 in steps of 1/400.  The first 8
+        # centers end at a divisor of skewness 8/9 off the branch's
+        # segment; reading its dual path gave points incomparable with
+        # the branch for skewness in (8/9, 19/20)
+        b = PuiseuxBranch(PY, PuiseuxSeries.make(20, {1: 1, 2: 1}, 30,
+                                                 exact=True))
+        for a in [F(37, 40), F(9, 10), F(7, 8)]:
+            d = divisorial_on_segment(b, a)
+            assert compare(d, Curve(b)) == Comparison.LT
+            assert skewness(d) == Ext(a)
+            assert path_key(d) == \
+                path_key(divisorial_on_segment_by_probes(b, a))
+
+    def test_a_far_skewness_is_reached_in_one_jump(self, monkeypatch):
+        asked = []
+        steps = BranchWalk.steps
+        monkeypatch.setattr(BranchWalk, "steps", lambda self, depth, w=None:
+                            asked.append(depth) or steps(self, depth, w))
+        Q = poly.parse("y^2-x^3")
+        (b, _), = weighted_branches(Q)
+        d = divisorial_on_segment(b, -100)
+        # the first round's last center left by a free step, node 6, has
+        # skewness 2/9 and b = 3, so -100 lies at least 9 (2/9 + 100) = 902
+        # centers further, and the second round asks for them at once;
+        # past the cusp each free center lowers skewness by exactly 1/9,
+        # so node 908 is the answer (+8 rounds asked 8, 16, ..., 912)
+        assert asked == [8, 910]
+        assert skewness(d) == Ext(-100)
+        assert evaluate(d, Q) == Ext(300)
+        assert compare(d, Curve(b)) == Comparison.LT
+
+    def test_a_skewness_past_the_depth_cap_raises_at_once(self, monkeypatch):
+        asked = []
+        steps = BranchWalk.steps
+        monkeypatch.setattr(BranchWalk, "steps", lambda self, depth, w=None:
+                            asked.append(depth) or steps(self, depth, w))
+        (b, _), = weighted_branches(poly.parse("y^2-x^3"))
+        # as above, skewness a needs depth 8 + 9 (2/9 - a) at least: 1,018
+        # for a = -112, and past the cap of 1,024 for a = -113
+        assert skewness(divisorial_on_segment(b, -112)) == Ext(-112)
+        for a in [-113, -10 ** 6]:
+            asked.clear()
+            with pytest.raises(PrecisionExceeded):
+                divisorial_on_segment(b, a)
+            # the first round shows that a lies past the cap
+            assert asked == [8]
+
 
 def poly_u_coeff(G, s, k_max):
     """Coefficients of G(u, s(u)) as a univariate dict, exact up to u^k_max."""
@@ -352,3 +403,14 @@ def test_branch_lists_are_shared_tuples():
     Q = poly.parse("x*y-1")
     first = weighted_branches(Q)
     assert isinstance(first, tuple) and weighted_branches(Q) is first
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.lists(st.tuples(
+    st.integers(1, 12),
+    st.fractions(min_value=-20, max_value=1, max_denominator=9)),
+    max_size=6))
+def test_crossing_is_the_zero_of_the_green_sum(w, others):
+    a = _crossing(w, others)
+    assert a < 1
+    assert w * a + sum(wj * max(a, t) for wj, t in others) == 0

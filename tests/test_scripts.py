@@ -55,20 +55,19 @@ def test_laplacian_rounds_prints_one_json_line_per_polynomial():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "scripts/laplacian_rounds.py", "y^3-x^4+1/2",
-         "y^2-x^5+x^3*y"],
+         "y^2-x^5+x^3*y", "(y^2-x^3)*(y^2-x^3-x^2*y)"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
-    assert [r["polynomial"] for r in rows] == ["y^3-x^4+1/2",
-                                               "y^2-x^5+x^3*y"]
-    for r in rows:
-        # one geometry per round, and Q evaluated once per node reached
-        assert r["rounds"] >= 1 and r["build_geometry"] == r["rounds"]
-        assert 0 < r["eval_divisorial"] and r["seconds"] >= 0
-    assert [r["rounds"] for r in rows] == [4, 3]
-    # each node on a dual path is evaluated once over all rounds (36 and
-    # 35 calls when each round evaluated its dual paths afresh)
-    assert [r["eval_divisorial"] for r in rows] == [15, 17]
+    assert [r["polynomial"] for r in rows] == [
+        "y^3-x^4+1/2", "y^2-x^5+x^3*y", "(y^2-x^3)*(y^2-x^3-x^2*y)"]
+    # one meet per pair of branches and Q never evaluated (the rounds
+    # evaluated it 15, 17 and 31 times); the walks and geometry builds
+    # are those of the meets and of one segment search per branch
+    assert [(r["branches"], r["meets"], r["center_steps"],
+             r["build_geometry"], r["eval_divisorial"]) for r in rows] == \
+        [(1, 0, 16, 2, 0), (2, 1, 27, 4, 0), (3, 3, 43, 6, 0)]
+    assert all(r["seconds"] >= 0 for r in rows)
 
 
 def test_witness_degrees_counts_the_baseline_solves():
