@@ -1,0 +1,93 @@
+"""Time ``classify`` and its phases on antichains of n divisorials.
+
+For each n, the antichain is the n ends of ``merge_paths`` of the paths
+(Free(k), Free(1), SatU(), Free(3)) at base y, k = 1..n; its chi is
+positive.  One ``classify(S, 1)`` call is timed with
+``time.perf_counter`` and one JSON line is printed: n, the seconds of
+classify, the seconds spent in its calls of ``reduce_with_report``,
+``matrix_alpha`` and ``chi_det``, the ``cluster.build_geometry`` calls of
+the whole classify and those made inside ``matrix_alpha``.  The time and
+the calls are taken by wrappers that this script puts around the
+library's functions; the library itself counts nothing.
+
+Usage: python3 scripts/set_scale.py [N ...]
+"""
+
+import argparse
+import json
+import sys
+import time
+from fractions import Fraction
+
+import valinf.cluster as cluster
+import valinf.richness as richness
+from valinf.cluster import Free, PointAtInfinity, SatU, merge_paths
+from valinf.valuations import Divisorial
+
+PHASES = ("reduce_with_report", "matrix_alpha", "chi_det")
+
+
+def antichain(n):
+    paths = [(PointAtInfinity("y"),
+              (Free(Fraction(k)), Free(Fraction(1)), SatU(),
+               Free(Fraction(3))))
+             for k in range(1, n + 1)]
+    merged, ends = merge_paths(paths)
+    return richness.ValuationSet.of([Divisorial(merged, e) for e in ends])
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("n", type=int, nargs="*", default=[8, 16, 32, 64])
+    args = ap.parse_args()
+
+    seconds = dict.fromkeys(PHASES, 0.0)
+    builds = {"all": 0, "matrix_alpha": 0}
+    running = []
+
+    def timing(name):
+        fn = getattr(richness, name)
+
+        def wrapper(*a, **kw):
+            running.append(name)
+            t0 = time.perf_counter()
+            try:
+                return fn(*a, **kw)
+            finally:
+                seconds[name] += time.perf_counter() - t0
+                running.pop()
+
+        setattr(richness, name, wrapper)
+
+    for name in PHASES:
+        timing(name)
+    build_geometry = cluster.build_geometry
+
+    def counting(cl):
+        builds["all"] += 1
+        if "matrix_alpha" in running:
+            builds["matrix_alpha"] += 1
+        return build_geometry(cl)
+
+    cluster.build_geometry = counting
+
+    for n in args.n:
+        S = antichain(n)
+        for k in seconds:
+            seconds[k] = 0.0
+        for k in builds:
+            builds[k] = 0
+        t0 = time.perf_counter()
+        richness.classify(S, 1)
+        total = time.perf_counter() - t0
+        print(json.dumps({
+            "n": n, "classify_s": round(total, 4),
+            **{f"{k}_s": round(v, 4) for k, v in seconds.items()},
+            "build_geometry": builds["all"],
+            "matrix_alpha_build_geometry": builds["matrix_alpha"]}),
+            flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

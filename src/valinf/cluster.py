@@ -423,6 +423,31 @@ def _extend_rows(rows: list, cl: Cluster):
         rows.append((fx, fy, ox, oy, ow + 1, b))
 
 
+def extend_dual_tree(parent: dict, cl: Cluster) -> dict:
+    """The dual tree of the boundary of ``cl``, rooted at LINF, as a map
+    from each component to its parent (LINF to None).
+
+    ``parent`` is that map for the first nodes of ``cl``, say of an
+    earlier cluster of the same ``PathTrie``; it is extended in place to
+    all nodes and returned.  Blowing up a center adds its divisor as a
+    leaf under the one boundary component through a free point, and on
+    the edge between the two through a satellite point, so each node
+    takes O(1) and needs no strict transform.  The ancestors of a node
+    stay its ancestors as nodes are added.
+    """
+    for i in range(len(parent) - 1, len(cl)):
+        ua, va = cl.axes[i]
+        if va is None:
+            parent[i] = ua
+        elif parent[va] == ua:
+            parent[i], parent[va] = ua, i
+        elif parent[ua] == va:
+            parent[i], parent[ua] = va, i
+        else:
+            raise InvalidCluster(f"node {i}: satellite boundaries do not meet")
+    return parent
+
+
 def build_geometry(cl: Cluster) -> GeometryTable:
     """The boundary geometry of a cluster.
 
@@ -450,34 +475,23 @@ def build_geometry(cl: Cluster) -> GeometryTable:
             inter[(bcomp, i)] = inter[(i, bcomp)] = 1
         if len(through) == 2:
             a, b2 = through
-            if inter.get((a, b2), 0) != 1:
-                raise InvalidCluster(
-                    f"node {i}: satellite boundaries do not meet")
             inter[(a, b2)] = inter[(b2, a)] = 0
         _, _, ord_x[i], ord_y[i], ord_w[i], b[i] = rows[i]
 
-    # dual tree from adjacency, and skewness by the edge recursion along
-    # it: breadth first, so a parent's alpha is known before its children's
-    adj = {c: [] for c in comps}
-    for (a, b2), v in inter.items():
-        if a != b2 and v != 0:
-            if v != 1:
-                raise InternalMismatch("boundary is not simple normal crossing")
-            adj[a].append(b2)
-    parent = {LINF: None}
+    # skewness by the edge recursion along the dual tree: breadth first,
+    # so a parent's alpha is known before its children's
+    parent = extend_dual_tree({LINF: None}, cl)
+    children = {c: [] for c in comps}
+    for c in range(n):
+        children[parent[c]].append(c)
     depth = {LINF: 0}
     alpha = {LINF: Fraction(1)}
     queue = [LINF]
     for c in queue:
-        for nb in adj[c]:
-            if nb in parent:
-                continue
-            parent[nb] = c
+        for nb in children[c]:
             depth[nb] = depth[c] + 1
             alpha[nb] = alpha[c] - Fraction(1, b[c] * b[nb])
             queue.append(nb)
-    if len(parent) != len(comps):
-        raise InternalMismatch("dual graph is not connected")
 
     thin = {LINF: Fraction(-2)}
     for i in range(n):
@@ -895,14 +909,23 @@ def branch_steps(base: PointAtInfinity, series: PuiseuxSeries, depth: int):
 
 def diverging_steps(s1, s2):
     """Step prefixes of two branches, each a ``PuiseuxSeries``, that pin
+    down their separation: the first ``diverging_depths`` centers of
+    each, on fresh walks.
+    """
+    walks = (BranchWalk(s1), BranchWalk(s2))
+    return tuple(w.steps(d) for w, d in zip(walks, diverging_depths(walks)))
+
+
+def diverging_depths(walks) -> tuple:
+    """The depths at which two ``BranchWalk``s of distinct branches pin
     down their separation.
 
     Walks both expansions in lockstep to the first differing center,
     then extends each side through its first free center from there on.
     A satellite center after the divergence still slides the branch
     along a dual edge of the shared cluster; the first free center
-    fixes the limb, so the dual position of the returned path ends is
-    final and no work is spent deeper.
+    fixes the limb, so the dual position of the path ends at these
+    depths is final and no work is spent deeper.
 
     Each branch is walked on the schedule ``DIVERGING_WORKS``
     (``EXACT_START`` doubled up to 2^18; a truncated branch reads its own
@@ -910,11 +933,11 @@ def diverging_steps(s1, s2):
     bounds the search: no divergence within W/4 centers, or a side
     still satellite after W/2, raises InsufficientTruncation.
 
-    Cost: the walks of both branches to their returned depths, each at
-    the precision its centers need (see ``BranchWalk``), not at W.
+    Cost: the walks of both branches to the returned depths, each at
+    the precision its centers need (see ``BranchWalk``), not at W; the
+    centers that the walks already hold are not walked again.
     """
     works = DIVERGING_WORKS
-    walks = (BranchWalk(s1), BranchWalk(s2))
     k = 0
     while True:
         if k == works[-1] // 4:
@@ -934,5 +957,5 @@ def diverging_steps(s1, s2):
             if n > works[-1] // 2:
                 raise InsufficientTruncation(
                     "satellite cascade beyond the exploration depth")
-        out.append(walk.steps(n + 1))
+        out.append(n + 1)
     return tuple(out)

@@ -70,7 +70,8 @@ def point_meet(p, q):
         return p
     if isinstance(w, Root):
         return q
-    g = skewness(meet(v, w))
+    m = meet(v, w)
+    g = skewness(m)
     if a >= g and b >= g:
         # both on the common trunk [root, v^w]; the shallower is the meet
         return p if a >= b else q
@@ -78,7 +79,7 @@ def point_meet(p, q):
         return p
     if b >= g:
         return q
-    return meet(v, w)
+    return m
 
 
 def point_leq(p, q) -> bool:

@@ -16,8 +16,8 @@ from .errors import (KernelDimensionNotOne, NonPositiveKernel,
                      PreconditionViolated, SingularSystem)
 from .exact import Ext, NEG_INF, SymMatrixExt, chi_det, ext_sum, solve_linear
 from .potential import DiscreteMeasure, measure
-from .valuations import (Comparison, Curve, Divisorial, Monomial, ROOT, Root,
-                         Valuation, compare, equal, meet, skewness, thinness)
+from .valuations import (Comparison, Divisorial, Hull, Monomial, ROOT,
+                         compare, equal, skewness, thinness)
 
 
 @dataclass(frozen=True)
@@ -87,30 +87,30 @@ def reduce(S: ValuationSet) -> ValuationSet:
 
 
 def matrix_alpha(S: ValuationSet) -> SymMatrixExt:
-    """[alpha(v_i ^ v_j)]; built on the set as given, no reduction."""
-    vs = list(S)
-    n = len(vs)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = skewness(vs[i])
-        for j in range(i + 1, n):
-            a = skewness(meet(vs[i], vs[j]))
-            rows[i][j] = rows[j][i] = a
-    return SymMatrixExt(rows)
+    """[alpha(v_i ^ v_j)]; built on the set as given, no reduction.
+
+    Every entry is read off one ``Hull`` of S.  Cost: one trie, one walk
+    per curve, one geometry, then O(1) per entry.
+    """
+    return SymMatrixExt(Hull(S.valuations).matrix())
 
 
 def chi_of(S: ValuationSet) -> Ext:
     """chi of the underlying set: equal elements are counted once.
 
     A repeated element would duplicate a row of the skewness matrix and
-    silently zero the determinant, so duplicates are dropped first.
+    silently zero the determinant, so duplicates are dropped first: the
+    elements that share an end node of one ``Hull`` of S with an earlier
+    one.  Cost: that hull's trie and curve walks, then ``matrix_alpha``
+    of the rest (one trie, one walk per curve, one geometry, then O(1)
+    per entry) and its determinant.
     """
-    vs = []
-    for v in S:
-        if not any(equal(v, w) for w in vs):
-            vs.append(v)
-    if not vs:
+    firsts = {}
+    for i, e in enumerate(Hull(S.valuations).ends):
+        firsts.setdefault(e, i)
+    if not firsts:
         return Ext(1)
+    vs = [S.valuations[i] for i in sorted(firsts.values())]
     return chi_det(matrix_alpha(ValuationSet.of(vs)))
 
 
@@ -144,16 +144,19 @@ def kernel_function(S: ValuationSet) -> DiscreteMeasure:
     """The positive measure on S whose potential vanishes on all of S.
 
     Exists and is unique up to scale exactly when chi(S) = 0; normalized
-    so its potential takes the value 1 at -deg.
+    so its potential takes the value 1 at -deg.  The elements are checked
+    pairwise incomparable on one ``Hull`` of S, whose curve-free trie
+    needs no geometry; the matrix is ``matrix_alpha``'s (one trie, one
+    geometry, then O(1) per entry), and one kernel solve follows.
     """
     vs = list(S)
     for v in vs:
         if skewness(v) == NEG_INF:
             raise PreconditionViolated("kernel function needs finite skewness")
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if compare(vs[i], vs[j]) != Comparison.INCOMPARABLE:
-                raise PreconditionViolated("elements must be incomparable")
+    hull = Hull(vs)
+    if any(hull.comparable(i, j)
+           for i in range(len(vs)) for j in range(i + 1, len(vs))):
+        raise PreconditionViolated("elements must be incomparable")
     M = matrix_alpha(S)
     rows = [[M.entries[i][j].q for j in range(len(vs))]
             for i in range(len(vs))]

@@ -3,7 +3,9 @@
 Variants: the root -deg, monomial valuations v_{s,t}, divisorial
 valuations given by a cluster node, and curve valuations given by a
 Puiseux branch.  Comparison and meets are decided structurally inside
-merged clusters; branch truncations are deepened adaptively.
+merged clusters; branch truncations are deepened adaptively.  A ``Hull``
+puts a whole finite set into one cluster and answers the meets, equality
+and comparisons of its elements from it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from fractions import Fraction
 
 from . import poly
 from .cluster import (BranchWalk, Cluster, PathTrie, PuiseuxBranch,
-                      PointAtInfinity, diverging_steps, eval_divisorial,
-                      merge_paths, monomial_to_node, weight_chain, LINF)
+                      PointAtInfinity, diverging_depths, diverging_steps,
+                      eval_divisorial, extend_dual_tree, merge_paths,
+                      monomial_to_node, weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
 from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
 from .series import LaurentSeries, PuiseuxSeries, powers
@@ -247,14 +250,22 @@ def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
         lca = merged.geometry().lca(et, ec)
         return None if lca == ec else _wrap_lca(lca, merged, v, c)
 
-    # from two centers past v's path on, once the branch end leaves v's
-    # dual path it stays off it and gives the same meet, so the depth
-    # grows in doubling strides.  A walk that cannot be certified sends
-    # the search back to the deepest depth of the +2 grid from the last
-    # depth checked that the walk certified: its meet is the one a search
-    # in +2 strides finds, and if its end is still on the path, the next
-    # grid depth raises where that search raises
-    last, depth, stride, grow = None, len(target[1]) + 2, 2, True
+    return _exit_search(walk, len(target[1]), meet_at)
+
+
+def _exit_search(walk: BranchWalk, length: int, meet_at):
+    """The first answer of ``meet_at(depth)`` that is not None, for a
+    curve walked on ``walk`` against a target of ``length`` steps.
+
+    From two centers past the target's path on, once the branch end
+    leaves the target's dual path it stays off it and gives the same
+    meet, so the depth grows in doubling strides.  A walk that cannot be
+    certified sends the search back to the deepest depth of the +2 grid
+    from the last depth checked that the walk certified: its meet is the
+    one a search in +2 strides finds, and if its end is still on the
+    path, the next grid depth raises where that search raises.
+    """
+    last, depth, stride, grow = None, length + 2, 2, True
     while True:
         try:
             out = meet_at(depth)
@@ -311,6 +322,191 @@ def compare(v: Valuation, w: Valuation) -> Comparison:
     if equal(m, w):
         return Comparison.GT
     return Comparison.INCOMPARABLE
+
+
+# ---------------------------------------------------------------------------
+# one hull per finite set
+# ---------------------------------------------------------------------------
+
+
+def _curve_class(c: Curve):
+    """A key that two curves share exactly when ``equal`` finds them
+    equal without raising: the same exact branch, or the same object."""
+    s = c.branch.series
+    if not s.exact:
+        return id(c)
+    s = s.reduced()
+    return c.branch.base, s.m, s.coeffs
+
+
+class _CurveClass:
+    """Equal curves of a hull: one walk, the depth their end must reach,
+    and the trie node of each depth the walk was probed at."""
+
+    __slots__ = ("walk", "base", "depth", "probed")
+
+    def __init__(self, c: Curve):
+        self.walk = BranchWalk(c.branch.series)
+        self.base = c.branch.base
+        self.depth = 1
+        self.probed = {}
+
+
+def _above(parent: dict, a, b) -> bool:
+    """Whether ``a`` is on the path from LINF to ``b`` in the dual tree
+    given by its ``parent`` map."""
+    while b is not None:
+        if b == a:
+            return True
+        b = parent[b]
+    return False
+
+
+class Hull:
+    """One cluster that holds every element of a finite set of valuations.
+
+    The path keys of the monomial and divisorial elements go into one
+    ``PathTrie``.  Each class of equal curves is walked on one
+    ``BranchWalk`` and deepened in the same trie: past the dual path of
+    every element at its point of L-infinity, by the search of the
+    pairwise curve meet (``_exit_search``, here with a dual-tree check
+    and no geometry per probe), and past its divergence from every other
+    curve there (``diverging_depths``).  From those depths on the end of
+    a curve meets every element where the pairwise meet does.  ``ROOT``
+    ends at LINF.
+
+    Queries read the ends.  Two elements are equal when they share an
+    end, and comparable when one end is a dual-tree ancestor of the
+    other.  alpha(v_i ^ v_j) is the skewness at the lowest common
+    ancestor of their ends (``matrix``); for ROOT and for elements at
+    different points of L-infinity that is LINF, of skewness 1.
+
+    The pairs are decided in the row-major order of the pairwise
+    skewness matrix, each pair of a curve class with a class or a path
+    once; where a pairwise ``meet`` of two elements raises, building the
+    hull raises the same error type.
+
+    Cost: one trie, one walk per curve class (each depth it is probed
+    at is added to the trie once, for all targets), and the geometry of
+    the one cluster, built by the first ``matrix``; then O(1) per matrix
+    entry.  ``equal`` is O(1), and ``comparable`` walks up one dual path
+    of the tree that the trie's nodes give without a strict transform
+    (``extend_dual_tree``).
+    """
+
+    def __init__(self, valuations):
+        vs = self.valuations = tuple(valuations)
+        trie = PathTrie()
+        ends = [LINF] * len(vs)
+        keys = {i: path_key(v) for i, v in enumerate(vs)
+                if not isinstance(v, (Root, Curve))}
+        cl, found = trie.add(keys.values())
+        for i, e in zip(keys, found):
+            ends[i] = e
+        parent = extend_dual_tree({LINF: None}, cl)
+
+        classes = {}
+        of = {}
+        for i, v in enumerate(vs):
+            if isinstance(v, Curve):
+                key = _curve_class(v)
+                if key not in classes:
+                    classes[key] = _CurveClass(v)
+                of[i] = classes[key]
+
+        def exit_depth(c, target, length):
+            def off(depth):
+                """``depth``, or None while the curve's end at that depth
+                is on the dual path of ``target``."""
+                if depth not in c.probed:
+                    cl, (c.probed[depth],) = trie.add(
+                        [(c.base, tuple(c.walk.steps(depth)))])
+                    extend_dual_tree(parent, cl)
+                return None if _above(parent, c.probed[depth], target) \
+                    else depth
+
+            return _exit_search(c.walk, length, off)
+
+        decided = set()
+        for i in range(len(vs) if of else 0):   # curve-free: nothing to do
+            for j in range(i + 1, len(vs)):
+                a, b = of.get(i), of.get(j)
+                if a is b:
+                    continue            # two paths, roots, or equal curves
+                if a is not None and b is not None:
+                    if a.base != b.base or frozenset((a, b)) in decided:
+                        continue
+                    decided.add(frozenset((a, b)))
+                    # raises where the pairwise ``equal`` raises; curves of
+                    # distinct classes are never equal
+                    _curves_equal(vs[i], vs[j])
+                    da, db = diverging_depths((a.walk, b.walk))
+                    a.depth, b.depth = max(a.depth, da), max(b.depth, db)
+                    continue
+                c, t = (a, j) if b is None else (b, i)
+                if t not in keys or keys[t][0] != c.base or \
+                        (c, ends[t]) in decided:
+                    continue
+                decided.add((c, ends[t]))
+                c.depth = max(c.depth,
+                              exit_depth(c, ends[t], len(keys[t][1])))
+
+        cls = list(classes.values())
+        cl, found = trie.add([(c.base, tuple(c.walk.steps(c.depth)))
+                              for c in cls])
+        end_of = dict(zip(cls, found))
+        for i, c in of.items():
+            ends[i] = end_of[c]
+        self.cluster = cl
+        self.ends = ends
+        self._parent = extend_dual_tree(parent, cl)
+
+    def equal(self, i: int, j: int) -> bool:
+        return self.ends[i] == self.ends[j]
+
+    def comparable(self, i: int, j: int) -> bool:
+        a, b = self.ends[i], self.ends[j]
+        return _above(self._parent, a, b) or _above(self._parent, b, a)
+
+    def matrix(self) -> list:
+        """The rows of [alpha(v_i ^ v_j)] as ``Ext``: -inf on the diagonal
+        of a curve and between equal curves.
+
+        One pass up the dual tree, deepest component first: elements at
+        a component, or below two of its children, meet there.  Each
+        entry is written once.
+        """
+        vs = self.valuations
+        at = {}
+        for i, e in enumerate(self.ends):
+            at.setdefault(e, []).append(i)
+        rows = [[None] * len(vs) for _ in vs]
+        if not rows:
+            return rows
+        g = self.cluster.geometry()
+        below = {}                      # component -> parts under it
+        for u in sorted(g.depth, key=g.depth.__getitem__, reverse=True):
+            parts = below.pop(u, [])
+            own = at.get(u)
+            if own:
+                parts.append(own)
+            if not parts:
+                continue
+            a = Ext(g.alpha[u])
+            seen = []
+            for part in parts:
+                for i in part:
+                    for j in seen:
+                        rows[i][j] = rows[j][i] = a
+                seen += part
+            if own:
+                d = NEG_INF if isinstance(vs[own[0]], Curve) else a
+                for x, i in enumerate(own):
+                    for j in own[x:]:
+                        rows[i][j] = rows[j][i] = d
+            if u != LINF:
+                below.setdefault(g.parent[u], []).append(seen)
+        return rows
 
 
 # ---------------------------------------------------------------------------

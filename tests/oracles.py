@@ -16,7 +16,7 @@ from valinf.potential import EdgePoint, measure
 from valinf.puiseux import weighted_branches
 from valinf.series import LaurentSeries, PuiseuxSeries
 from valinf.valuations import (ROOT, Curve, Divisorial, _wrap_lca, equal,
-                               path_key, skewness)
+                               meet, path_key, skewness)
 
 
 def is_negative_definite(M: SymMatrixExt) -> bool:
@@ -28,6 +28,41 @@ def is_negative_definite(M: SymMatrixExt) -> bool:
         if sign != want:
             return False
     return True
+
+
+def matrix_alpha_by_meets(S) -> SymMatrixExt:
+    """``richness.matrix_alpha`` by one pairwise ``meet`` per entry, each
+    merging two paths and building their geometry, as before the hull."""
+    vs = list(S)
+    n = len(vs)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = skewness(vs[i])
+        for j in range(i + 1, n):
+            a = skewness(meet(vs[i], vs[j]))
+            rows[i][j] = rows[j][i] = a
+    return SymMatrixExt(rows)
+
+
+def dual_tree_by_adjacency(g) -> dict:
+    """The parent map of the dual tree of a ``GeometryTable``, by a
+    breadth-first search from LINF over the nonzero off-diagonal entries
+    of its intersection matrix, as ``build_geometry`` found it before
+    ``cluster.extend_dual_tree``."""
+    adj = {c: [] for c in g.comps}
+    for (a, b), v in g.inter.items():
+        if a != b and v != 0:
+            adj[a].append(b)
+    parent = {LINF: None}
+    queue = [LINF]
+    for c in queue:
+        for nb in adj[c]:
+            if nb not in parent:
+                parent[nb] = c
+                queue.append(nb)
+    if len(parent) != len(g.comps):
+        raise InternalMismatch("dual graph is not connected")
+    return parent
 
 
 def solve_linear_by_fractions(A: Sequence[Sequence],
@@ -270,7 +305,10 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
 
     With materialize=True interior atoms are realized by the probe search
     ``divisorial_on_segment_by_probes``; otherwise they stay segment
-    points.
+    points.  An atom at the end of a branch's path is read only once the
+    branch's next center is known to be free, as in
+    ``puiseux.divisorial_on_segment``; a truncation that does not certify
+    it raises InsufficientTruncation.
     """
     pairs = weighted_branches(Q, K)
     walks = [BranchWalk(b.series) for b, _ in pairs]
@@ -291,6 +329,12 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
             crossing = None
             for prev, n in zip(path, path[1:]):
                 if vals[n] == 0:
+                    if n == ends[i] and not isinstance(
+                            walks[i].steps(depths[i] + 1)[-1], Free):
+                        # E_n is on [root, branch] only if the branch
+                        # leaves its center by a free step; a truncation
+                        # that does not certify that step raises here
+                        break
                     crossing = Divisorial(merged, n)
                     break
                 if vals[n] > 0:

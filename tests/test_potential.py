@@ -14,7 +14,9 @@ from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree, PLValues,
                               point_on_segment, point_skewness, retract,
                               retract_measure, shift_up, tree_dirichlet,
                               tree_measure_values, tree_retract_masses, value)
-from valinf.valuations import ROOT, Monomial, curve_of_series
+from valinf import potential
+from valinf.valuations import (ROOT, Monomial, curve_of_series, meet,
+                               quasimonomial, skewness)
 
 F = Fraction
 PX0 = PointAtInfinity("x", F(0))
@@ -48,6 +50,21 @@ class TestTreePoints:
         assert point_leq(p, M1)
         assert not point_leq(M1, p)
         assert point_leq(M1, HYP)
+
+    def test_green_off_a_curve_segment_meets_once(self, monkeypatch):
+        # the divisorial is off [root, HYP], so neither point lies on the
+        # trunk of their meet, and point_meet returns the meet it read
+        # skewness from
+        v = quasimonomial(PX0, 1, 3)
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return meet(a, b)
+
+        monkeypatch.setattr(potential, "meet", counting)
+        assert point_green(HYP, v) == Ext(-1) > skewness(v)
+        assert calls == [(HYP, v)]
 
     def test_incomparable_edge_points(self):
         p = point_on_segment(M1, F(-1, 2))

@@ -82,3 +82,20 @@ def test_witness_degrees_counts_the_baseline_solves():
         == [(2, 2, 102, False), (4, 4, 762, False)]
     assert all(r["seconds"] >= 0 for r in rows)
 
+
+
+def test_set_scale_reads_the_matrix_off_one_geometry():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/set_scale.py", "4", "8"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["n"] for r in rows] == [4, 8]
+    # the antichain is reduced by pairwise compares, then its matrix is
+    # read off one hull
+    assert [r["matrix_alpha_build_geometry"] for r in rows] == [1, 1]
+    assert all(r["build_geometry"] > 1 for r in rows)
+    assert all(r[k] >= 0 for r in rows for k in
+               ("classify_s", "reduce_with_report_s", "matrix_alpha_s",
+                "chi_det_s"))
