@@ -2,10 +2,12 @@
 
 For each polynomial, one ``puiseux.logplus_laplacian(Q)`` call is timed
 with ``time.perf_counter`` and one JSON line is printed: the polynomial,
-its branches, the curve meets of branch pairs, the branch center steps,
-the calls of ``cluster.build_geometry`` and of ``eval_divisorial``, and
-the seconds.  The atoms are read off the Green identity, so Q is never
-evaluated and ``eval_divisorial`` stays at 0.  The branches are expanded
+its branches, the pair divergences of the hull of its branches (calls
+of ``cluster.diverging_depths``, one per pair of branches at one point
+of L-infinity), the branch center steps, the calls of
+``cluster.build_geometry`` and of ``eval_divisorial``, and the seconds.
+The atoms are read off the Green identity, so Q is never evaluated and
+``eval_divisorial`` stays at 0.  The branches are expanded
 before the clock starts, so the time is that of the log-Laplacian alone.
 The calls are counted by wrappers that this script puts around the
 library's functions; the library itself counts nothing.
@@ -45,7 +47,8 @@ def main():
 
     calls = {"meets": 0, "center_steps": 0, "build_geometry": 0,
              "eval_divisorial": 0}
-    counting(calls, "meets", puiseux, "_meet_curves")
+    # the hull calls diverging_depths by the name valuations gives it
+    counting(calls, "meets", valuations, "diverging_depths")
     counting(calls, "center_steps", cluster, "_center_step")
     counting(calls, "build_geometry", cluster, "build_geometry")
     # the one function and both names it is called by

@@ -5,8 +5,9 @@ For each n, the antichain is the n ends of ``merge_paths`` of the paths
 positive.  One ``classify(S, 1)`` call is timed with
 ``time.perf_counter`` and one JSON line is printed: n, the seconds of
 classify, the seconds spent in its calls of ``reduce_with_report``,
-``matrix_alpha`` and ``chi_det``, the ``cluster.build_geometry`` calls of
-the whole classify and those made inside ``matrix_alpha``.  The time and
+``chi_of`` (the hull of the reduced set, its matrix and ``chi_det``) and
+``chi_det`` alone, the ``cluster.build_geometry`` calls of the whole
+classify and those made inside ``chi_of``.  The time and
 the calls are taken by wrappers that this script puts around the
 library's functions; the library itself counts nothing.
 
@@ -24,7 +25,7 @@ import valinf.richness as richness
 from valinf.cluster import Free, PointAtInfinity, SatU, merge_paths
 from valinf.valuations import Divisorial
 
-PHASES = ("reduce_with_report", "matrix_alpha", "chi_det")
+PHASES = ("reduce_with_report", "chi_of", "chi_det")
 
 
 def antichain(n):
@@ -42,7 +43,7 @@ def main():
     args = ap.parse_args()
 
     seconds = dict.fromkeys(PHASES, 0.0)
-    builds = {"all": 0, "matrix_alpha": 0}
+    builds = {"all": 0, "chi_of": 0}
     running = []
 
     def timing(name):
@@ -65,8 +66,8 @@ def main():
 
     def counting(cl):
         builds["all"] += 1
-        if "matrix_alpha" in running:
-            builds["matrix_alpha"] += 1
+        if "chi_of" in running:
+            builds["chi_of"] += 1
         return build_geometry(cl)
 
     cluster.build_geometry = counting
@@ -84,7 +85,7 @@ def main():
             "n": n, "classify_s": round(total, 4),
             **{f"{k}_s": round(v, 4) for k, v in seconds.items()},
             "build_geometry": builds["all"],
-            "matrix_alpha_build_geometry": builds["matrix_alpha"]}),
+            "chi_of_build_geometry": builds["chi_of"]}),
             flush=True)
     return 0
 

@@ -210,6 +210,14 @@ class PathTrie:
         """Merge ``paths``, each (base, steps); returns (Cluster, node
         index per path end).  After an add that raised InvalidCluster the
         trie holds the invalid nodes, so it is not to be used again."""
+        ends = self.insert(paths)
+        cl = Cluster(self.nodes)
+        cl._rows = self._rows
+        return cl, ends
+
+    def insert(self, paths) -> list:
+        """``add`` without the cluster: the node index per path end.  The
+        next ``add`` validates the nodes put in."""
         nodes, index = self.nodes, self._index
         ends = []
         for base, steps in paths:
@@ -224,9 +232,7 @@ class PathTrie:
                     nodes.append(Node(parent=i, base=None, step=st))
                 i = child
             ends.append(i)
-        cl = Cluster(nodes)
-        cl._rows = self._rows
-        return cl, ends
+        return ends
 
 
 def chain_cluster(base: PointAtInfinity, steps) -> Cluster:

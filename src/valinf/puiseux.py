@@ -22,7 +22,7 @@ from .errors import (InsufficientTruncation, InternalMismatch,
 from .exact import Ext, _q, ext_sum, rational_root
 from .potential import DiscreteMeasure, measure, point_green
 from .series import PuiseuxSeries
-from .valuations import Curve, Divisorial, _meet_curves, skewness
+from .valuations import Curve, Divisorial, Hull
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +383,12 @@ def logplus_laplacian(Q: dict, K=None) -> DiscreteMeasure:
     The left side is increasing and piecewise linear in a, and positive
     at a = 1, so a* < 1; the atom is ``divisorial_on_segment(b_i, a*)``.
 
-    Cost: one curve meet per pair of branches (at the root, with no walk,
-    for a pair at different points of L-infinity) and one
-    ``divisorial_on_segment`` per branch; Q is never transformed.
+    Cost: one ``Hull`` of the branches (each branch that shares its point
+    of L-infinity walked once, to its divergences, and one geometry) and
+    one ``divisorial_on_segment`` per branch; Q is never transformed.
     """
     pairs = [(b, e * b.multiplicity) for b, e in weighted_branches(Q, K)]
-    t = {}                              # t[i, j] = alpha(b_i ^ b_j)
-    for i, (b, _) in enumerate(pairs):
-        for j, (c, _) in enumerate(pairs[:i]):
-            t[i, j] = t[j, i] = skewness(_meet_curves(Curve(b), Curve(c))).q
+    t = Hull([Curve(b) for b, _ in pairs]).matrix()  # alpha(b_i ^ b_j)
     return measure((divisorial_on_segment(b, _crossing(
-        w, [(wj, t[i, j]) for j, (_, wj) in enumerate(pairs) if j != i])), w)
-        for i, (b, w) in enumerate(pairs))
+        w, [(wj, t[i][j].q) for j, (_, wj) in enumerate(pairs) if j != i])),
+        w) for i, (b, w) in enumerate(pairs))

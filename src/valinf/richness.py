@@ -101,17 +101,19 @@ def chi_of(S: ValuationSet) -> Ext:
     A repeated element would duplicate a row of the skewness matrix and
     silently zero the determinant, so duplicates are dropped first: the
     elements that share an end node of one ``Hull`` of S with an earlier
-    one.  Cost: that hull's trie and curve walks, then ``matrix_alpha``
-    of the rest (one trie, one walk per curve, one geometry, then O(1)
-    per entry) and its determinant.
+    one.  The rows and columns of the rest are read off that hull's
+    ``matrix``.  Cost: one trie, one walk per curve, one geometry, O(1)
+    per entry, and the determinant.
     """
+    hull = Hull(S.valuations)
     firsts = {}
-    for i, e in enumerate(Hull(S.valuations).ends):
+    for i, e in enumerate(hull.ends):
         firsts.setdefault(e, i)
     if not firsts:
         return Ext(1)
-    vs = [S.valuations[i] for i in sorted(firsts.values())]
-    return chi_det(matrix_alpha(ValuationSet.of(vs)))
+    keep = sorted(firsts.values())
+    rows = hull.matrix()
+    return chi_det(SymMatrixExt([[rows[i][j] for j in keep] for i in keep]))
 
 
 def star_system(S: ValuationSet):
@@ -145,9 +147,9 @@ def kernel_function(S: ValuationSet) -> DiscreteMeasure:
 
     Exists and is unique up to scale exactly when chi(S) = 0; normalized
     so its potential takes the value 1 at -deg.  The elements are checked
-    pairwise incomparable on one ``Hull`` of S, whose curve-free trie
-    needs no geometry; the matrix is ``matrix_alpha``'s (one trie, one
-    geometry, then O(1) per entry), and one kernel solve follows.
+    pairwise incomparable on one ``Hull`` of S, and the matrix is read
+    off the same hull (one trie, one geometry, then O(1) per entry); one
+    kernel solve follows.
     """
     vs = list(S)
     for v in vs:
@@ -157,9 +159,7 @@ def kernel_function(S: ValuationSet) -> DiscreteMeasure:
     if any(hull.comparable(i, j)
            for i in range(len(vs)) for j in range(i + 1, len(vs))):
         raise PreconditionViolated("elements must be incomparable")
-    M = matrix_alpha(S)
-    rows = [[M.entries[i][j].q for j in range(len(vs))]
-            for i in range(len(vs))]
+    rows = [[a.q for a in row] for row in hull.matrix()]
     kernel = solve_linear(rows).kernel
     if len(kernel) != 1:
         raise KernelDimensionNotOne(

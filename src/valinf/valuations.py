@@ -2,10 +2,10 @@
 
 Variants: the root -deg, monomial valuations v_{s,t}, divisorial
 valuations given by a cluster node, and curve valuations given by a
-Puiseux branch.  Comparison and meets are decided structurally inside
-merged clusters; branch truncations are deepened adaptively.  A ``Hull``
-puts a whole finite set into one cluster and answers the meets, equality
-and comparisons of its elements from it.
+Puiseux branch.  A ``Hull`` puts a finite set into one cluster, whose
+branch walks are deepened adaptively, and answers the meets, equality
+and comparisons of its elements from it; ``meet`` and ``compare`` read
+a pair off a two-element hull.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from . import poly
 from .cluster import (BranchWalk, Cluster, PathTrie, PuiseuxBranch,
-                      PointAtInfinity, diverging_depths, diverging_steps,
-                      eval_divisorial, extend_dual_tree, merge_paths,
-                      monomial_to_node, weight_chain, LINF)
+                      PointAtInfinity, diverging_depths, eval_divisorial,
+                      extend_dual_tree, monomial_to_node, weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
 from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
 from .series import LaurentSeries, PuiseuxSeries, powers
@@ -188,14 +189,14 @@ def _curves_equal(a: Curve, b: Curve) -> bool:
     sb = b.branch.series.reduced()
     if sa.exact and sb.exact:
         return sa.m == sb.m and sa.coeffs == sb.coeffs
-    # compare over the common certified range of exponents j/m
-    ca = {Fraction(j, sa.m): c for j, c in sa.coeffs}
-    cb = {Fraction(j, sb.m): c for j, c in sb.coeffs}
-    bound_a = POS_INF if sa.exact else Ext(Fraction(sa.K, sa.m))
-    bound_b = POS_INF if sb.exact else Ext(Fraction(sb.K, sb.m))
-    bound = min(bound_a, bound_b)
-    for e in set(ca) | set(cb):
-        if Ext(e) <= bound and ca.get(e) != cb.get(e):
+    # compare over the common certified range of exponents j/m, each
+    # written as an integer over the common denominator L
+    L = lcm(sa.m, sb.m)
+    ca = {j * (L // sa.m): c for j, c in sa.coeffs}
+    cb = {j * (L // sb.m): c for j, c in sb.coeffs}
+    bound = min(s.K * (L // s.m) for s in (sa, sb) if not s.exact)
+    for e in ca.keys() | cb.keys():
+        if e <= bound and ca.get(e) != cb.get(e):
             return False
     raise InsufficientTruncation("branches agree to their stored truncation")
 
@@ -226,91 +227,25 @@ def _wrap_lca(lca, merged: Cluster, v: Valuation, w: Valuation) -> Valuation:
     return Divisorial(merged, lca)
 
 
-def _meet_realizable(v: Valuation, w: Valuation) -> Valuation:
-    merged, ends = merge_paths([path_key(v), path_key(w)])
-    lca = merged.geometry().lca(ends[0], ends[1])
-    return _wrap_lca(lca, merged, v, w)
-
-
-def _meet_curve_realizable(c: Curve, v: Valuation) -> Valuation:
-    target = path_key(v)
-    if c.branch.base != target[0]:
-        return ROOT
-    walk = BranchWalk(c.branch.series)
-    # the probes only deepen c's path, so they grow one trie: each center
-    # is transformed once, and the nodes are numbered as in a one-shot
-    # merge at the last depth
-    trie = PathTrie()
-
-    def meet_at(depth):
-        """The meet read off the first ``depth`` centers of c, or None
-        while their end is on the dual path of v's divisor."""
-        merged, (et, ec) = trie.add(
-            [target, (c.branch.base, tuple(walk.steps(depth)))])
-        lca = merged.geometry().lca(et, ec)
-        return None if lca == ec else _wrap_lca(lca, merged, v, c)
-
-    return _exit_search(walk, len(target[1]), meet_at)
-
-
-def _exit_search(walk: BranchWalk, length: int, meet_at):
-    """The first answer of ``meet_at(depth)`` that is not None, for a
-    curve walked on ``walk`` against a target of ``length`` steps.
-
-    From two centers past the target's path on, once the branch end
-    leaves the target's dual path it stays off it and gives the same
-    meet, so the depth grows in doubling strides.  A walk that cannot be
-    certified sends the search back to the deepest depth of the +2 grid
-    from the last depth checked that the walk certified: its meet is the
-    one a search in +2 strides finds, and if its end is still on the
-    path, the next grid depth raises where that search raises.
-    """
-    last, depth, stride, grow = None, length + 2, 2, True
-    while True:
-        try:
-            out = meet_at(depth)
-        except InsufficientTruncation:
-            if last is None or depth == last + 2:
-                raise
-            deepest = min(walk.depth, depth - 2)
-            depth = last + 2 * max(1, (deepest - last) // 2)
-            stride, grow = 2, False
-            continue
-        if out is not None:
-            return out
-        last, depth = depth, depth + stride
-        if grow:
-            stride *= 2
-
-
-def _meet_curves(a: Curve, b: Curve) -> Valuation:
-    """The meet of two distinct curves."""
-    if a.branch.base != b.branch.base:
-        return ROOT
-    # walk both center paths together to their first divergence; a shared
-    # truncation says nothing because its end may sit off the dual path
-    # of the deeper curve
-    sa, sb = diverging_steps(a.branch.series, b.branch.series)
-    merged, (ea, eb) = merge_paths([
-        (a.branch.base, tuple(sa)), (b.branch.base, tuple(sb))])
-    lca = merged.geometry().lca(ea, eb)
-    return _wrap_lca(lca, merged, a, b)
+def _base(v: Valuation) -> PointAtInfinity:
+    """The point of L-infinity of a curve or of a realizable valuation."""
+    return v.branch.base if isinstance(v, Curve) else path_key(v)[0]
 
 
 def meet(v: Valuation, w: Valuation) -> Valuation:
+    """The meet in the valuation tree, read off a two-element ``Hull``.
+
+    A curve and an element at a different point of L-infinity meet at
+    ``ROOT`` before any hull is built, with no walk.
+    """
     if isinstance(v, Root) or isinstance(w, Root):
         return ROOT
     if equal(v, w):
         return v
-    cv = isinstance(v, Curve)
-    cw = isinstance(w, Curve)
-    if cv and cw:
-        return _meet_curves(v, w)
-    if cv:
-        return _meet_curve_realizable(v, w)
-    if cw:
-        return _meet_curve_realizable(w, v)
-    return _meet_realizable(v, w)
+    if (isinstance(v, Curve) or isinstance(w, Curve)) and \
+            _base(v) != _base(w):
+        return ROOT
+    return Hull((v, w)).meet(0, 1)
 
 
 def compare(v: Valuation, w: Valuation) -> Comparison:
@@ -340,16 +275,19 @@ def _curve_class(c: Curve):
 
 
 class _CurveClass:
-    """Equal curves of a hull: one walk, the depth their end must reach,
-    and the trie node of each depth the walk was probed at."""
-
-    __slots__ = ("walk", "base", "depth", "probed")
+    """Equal curves of a hull: one walk, started when first asked for,
+    the depth their end must reach, and the trie node of each depth that
+    was added to the trie."""
 
     def __init__(self, c: Curve):
-        self.walk = BranchWalk(c.branch.series)
+        self.series = c.branch.series
         self.base = c.branch.base
         self.depth = 1
         self.probed = {}
+
+    @cached_property
+    def walk(self) -> BranchWalk:
+        return BranchWalk(self.series)
 
 
 def _above(parent: dict, a, b) -> bool:
@@ -368,43 +306,36 @@ class Hull:
     The path keys of the monomial and divisorial elements go into one
     ``PathTrie``.  Each class of equal curves is walked on one
     ``BranchWalk`` and deepened in the same trie: past the dual path of
-    every element at its point of L-infinity, by the search of the
-    pairwise curve meet (``_exit_search``, here with a dual-tree check
-    and no geometry per probe), and past its divergence from every other
-    curve there (``diverging_depths``).  From those depths on the end of
-    a curve meets every element where the pairwise meet does.  ``ROOT``
-    ends at LINF.
+    every element at its point of L-infinity (a stride search with a
+    dual-tree check and no geometry per probe), and past its divergence
+    from every other curve there (``diverging_depths``).  From those
+    depths on the end of a curve meets every element where a search to
+    any greater depth would.  A class alone at its point of L-infinity is
+    not walked and ends at its base node.  ``ROOT`` ends at LINF.
 
     Queries read the ends.  Two elements are equal when they share an
     end, and comparable when one end is a dual-tree ancestor of the
-    other.  alpha(v_i ^ v_j) is the skewness at the lowest common
-    ancestor of their ends (``matrix``); for ROOT and for elements at
-    different points of L-infinity that is LINF, of skewness 1.
+    other.  Their meet is the lowest common ancestor of their ends
+    (``meet``), and alpha(v_i ^ v_j) its skewness (``matrix``); for ROOT
+    and for elements at different points of L-infinity that is LINF, of
+    skewness 1.  The pairs are decided in the row-major order of the
+    pairwise skewness matrix, so where the ``meet`` of two elements
+    raises, building the hull raises the same error type.
 
-    The pairs are decided in the row-major order of the pairwise
-    skewness matrix, each pair of a curve class with a class or a path
-    once; where a pairwise ``meet`` of two elements raises, building the
-    hull raises the same error type.
-
-    Cost: one trie, one walk per curve class (each depth it is probed
-    at is added to the trie once, for all targets), and the geometry of
-    the one cluster, built by the first ``matrix``; then O(1) per matrix
-    entry.  ``equal`` is O(1), and ``comparable`` walks up one dual path
-    of the tree that the trie's nodes give without a strict transform
-    (``extend_dual_tree``).
+    Cost: one trie, whose paths are validated once for a curve-free set;
+    one walk per curve class that shares its point of L-infinity, each
+    depth it is probed at added to the trie once for all targets.  The
+    dual tree is read off the trie's nodes without a strict transform
+    (``extend_dual_tree``), so ``equal`` is O(1) and ``comparable`` walks
+    up one dual path.  ``meet`` builds the geometry of the one cluster
+    and walks up two dual paths; ``matrix`` is one pass over the dual
+    tree, O(1) per entry, and builds the geometry only if an entry reads
+    a skewness other than LINF's.
     """
 
     def __init__(self, valuations):
         vs = self.valuations = tuple(valuations)
-        trie = PathTrie()
-        ends = [LINF] * len(vs)
-        keys = {i: path_key(v) for i, v in enumerate(vs)
-                if not isinstance(v, (Root, Curve))}
-        cl, found = trie.add(keys.values())
-        for i, e in zip(keys, found):
-            ends[i] = e
-        parent = extend_dual_tree({LINF: None}, cl)
-
+        keys = {}
         classes = {}
         of = {}
         for i, v in enumerate(vs):
@@ -413,22 +344,57 @@ class Hull:
                 if key not in classes:
                     classes[key] = _CurveClass(v)
                 of[i] = classes[key]
+            elif not isinstance(v, Root):
+                keys[i] = path_key(v)
+        trie = PathTrie()
+        ends = [LINF] * len(vs)
+        # the first probe or the last add validates the paths
+        for i, e in zip(keys, trie.insert(keys.values())):
+            ends[i] = e
+        self.ends = ends
+        if not classes:
+            # one add; the dual tree is built when a query needs it
+            self.cluster, self._parent = trie.add(())[0], None
+            return
+        parent = {LINF: None}
+        cl = None
 
         def exit_depth(c, target, length):
-            def off(depth):
-                """``depth``, or None while the curve's end at that depth
-                is on the dual path of ``target``."""
-                if depth not in c.probed:
-                    cl, (c.probed[depth],) = trie.add(
-                        [(c.base, tuple(c.walk.steps(depth)))])
-                    extend_dual_tree(parent, cl)
-                return None if _above(parent, c.probed[depth], target) \
-                    else depth
+            """The first depth of c's end off the dual path of ``target``,
+            a node whose path has ``length`` steps.
 
-            return _exit_search(c.walk, length, off)
+            From two centers past the target's path on, once the branch
+            end leaves the target's dual path it stays off it and gives
+            the same meet, so the depth grows in doubling strides.  A walk
+            that cannot be certified sends the search back to the deepest
+            depth of the +2 grid from the last depth checked that the walk
+            certified: its answer is the one a search in +2 strides finds,
+            and if its end is still on the path, the next grid depth
+            raises where that search raises.
+            """
+            nonlocal cl
+            last, depth, stride, grow = None, length + 2, 2, True
+            while True:
+                try:
+                    if depth not in c.probed:
+                        cl, (c.probed[depth],) = trie.add(
+                            [(c.base, tuple(c.walk.steps(depth)))])
+                        extend_dual_tree(parent, cl)
+                except InsufficientTruncation:
+                    if last is None or depth == last + 2:
+                        raise
+                    deepest = min(c.walk.depth, depth - 2)
+                    depth = last + 2 * max(1, (deepest - last) // 2)
+                    stride, grow = 2, False
+                    continue
+                if not _above(parent, c.probed[depth], target):
+                    return depth
+                last, depth = depth, depth + stride
+                if grow:
+                    stride *= 2
 
         decided = set()
-        for i in range(len(vs) if of else 0):   # curve-free: nothing to do
+        for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 a, b = of.get(i), of.get(j)
                 if a is b:
@@ -437,8 +403,8 @@ class Hull:
                     if a.base != b.base or frozenset((a, b)) in decided:
                         continue
                     decided.add(frozenset((a, b)))
-                    # raises where the pairwise ``equal`` raises; curves of
-                    # distinct classes are never equal
+                    # raises where ``equal`` raises; curves of distinct
+                    # classes are never equal
                     _curves_equal(vs[i], vs[j])
                     da, db = diverging_depths((a.walk, b.walk))
                     a.depth, b.depth = max(a.depth, da), max(b.depth, db)
@@ -451,48 +417,72 @@ class Hull:
                 c.depth = max(c.depth,
                               exit_depth(c, ends[t], len(keys[t][1])))
 
-        cls = list(classes.values())
-        cl, found = trie.add([(c.base, tuple(c.walk.steps(c.depth)))
-                              for c in cls])
-        end_of = dict(zip(cls, found))
+        # the last probes usually give the ends, in the trie's last cluster
+        todo = [c for c in classes.values() if c.depth not in c.probed]
+        if todo or cl is None:          # a class at depth 1 is not walked
+            cl, found = trie.add([(c.base, tuple(
+                c.walk.steps(c.depth)) if c.depth > 1 else ()) for c in todo])
+            for c, e in zip(todo, found):
+                c.probed[c.depth] = e
         for i, c in of.items():
-            ends[i] = end_of[c]
+            ends[i] = c.probed[c.depth]
         self.cluster = cl
-        self.ends = ends
         self._parent = extend_dual_tree(parent, cl)
 
     def equal(self, i: int, j: int) -> bool:
         return self.ends[i] == self.ends[j]
 
+    def _dual_tree(self) -> dict:
+        if self._parent is None:
+            self._parent = extend_dual_tree({LINF: None}, self.cluster)
+        return self._parent
+
     def comparable(self, i: int, j: int) -> bool:
+        parent = self._dual_tree()
         a, b = self.ends[i], self.ends[j]
-        return _above(self._parent, a, b) or _above(self._parent, b, a)
+        return _above(parent, a, b) or _above(parent, b, a)
+
+    def meet(self, i: int, j: int) -> Valuation:
+        """The meet of elements i and j: ``ROOT`` at LINF, either of
+        them whose path ends at the lowest common ancestor of their
+        ends, or else the divisorial valuation of that node."""
+        lca = self.cluster.geometry().lca(self.ends[i], self.ends[j])
+        return _wrap_lca(lca, self.cluster, self.valuations[i],
+                         self.valuations[j])
 
     def matrix(self) -> list:
         """The rows of [alpha(v_i ^ v_j)] as ``Ext``: -inf on the diagonal
         of a curve and between equal curves.
 
-        One pass up the dual tree, deepest component first: elements at
+        One pass up the dual tree, children before parents: elements at
         a component, or below two of its children, meet there.  Each
-        entry is written once.
+        entry is written once.  The geometry is built only for the
+        skewness of a component other than LINF that some entry reads.
         """
         vs = self.valuations
         at = {}
         for i, e in enumerate(self.ends):
             at.setdefault(e, []).append(i)
         rows = [[None] * len(vs) for _ in vs]
-        if not rows:
-            return rows
-        g = self.cluster.geometry()
+        parent = self._dual_tree()
+        children = {}
+        for u, p in parent.items():
+            children.setdefault(p, []).append(u)
+        order = [LINF]                  # breadth first from LINF
+        for u in order:
+            order += children.get(u, ())
         below = {}                      # component -> parts under it
-        for u in sorted(g.depth, key=g.depth.__getitem__, reverse=True):
+        for u in reversed(order):
             parts = below.pop(u, [])
             own = at.get(u)
             if own:
                 parts.append(own)
             if not parts:
                 continue
-            a = Ext(g.alpha[u])
+            curve = own is not None and isinstance(vs[own[0]], Curve)
+            if len(parts) > 1 or (own and not curve):
+                a = Ext(1) if u == LINF else \
+                    Ext(self.cluster.geometry().alpha[u])
             seen = []
             for part in parts:
                 for i in part:
@@ -500,12 +490,12 @@ class Hull:
                         rows[i][j] = rows[j][i] = a
                 seen += part
             if own:
-                d = NEG_INF if isinstance(vs[own[0]], Curve) else a
+                d = NEG_INF if curve else a
                 for x, i in enumerate(own):
                     for j in own[x:]:
                         rows[i][j] = rows[j][i] = d
             if u != LINF:
-                below.setdefault(g.parent[u], []).append(seen)
+                below.setdefault(parent[u], []).append(seen)
         return rows
 
 

@@ -10,13 +10,13 @@ from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
                             chain_cluster, eval_divisorial, merge_paths)
 from valinf.errors import (InsufficientTruncation, InternalMismatch,
                            InvalidCluster, PreconditionViolated)
-from valinf.exact import (Ext, LinSolveResult, SymMatrixExt, _q,
+from valinf.exact import (POS_INF, Ext, LinSolveResult, SymMatrixExt, _q,
                           sign_at_neg_infinity)
 from valinf.potential import EdgePoint, measure
 from valinf.puiseux import weighted_branches
 from valinf.series import LaurentSeries, PuiseuxSeries
-from valinf.valuations import (ROOT, Curve, Divisorial, _wrap_lca, equal,
-                               meet, path_key, skewness)
+from valinf.valuations import (ROOT, Comparison, Curve, Divisorial, Root,
+                               _wrap_lca, equal, path_key, skewness)
 
 
 def is_negative_definite(M: SymMatrixExt) -> bool:
@@ -30,16 +30,76 @@ def is_negative_definite(M: SymMatrixExt) -> bool:
     return True
 
 
+def curves_equal_by_fractions(a, b):
+    """``valuations._curves_equal`` with each exponent j/m kept as a
+    Fraction: equality of curve valuations, raising when their
+    truncations cannot decide."""
+    if a.branch.base != b.branch.base:
+        return False
+    sa = a.branch.series.reduced()
+    sb = b.branch.series.reduced()
+    if sa.exact and sb.exact:
+        return sa.m == sb.m and sa.coeffs == sb.coeffs
+    ca = {Fraction(j, sa.m): c for j, c in sa.coeffs}
+    cb = {Fraction(j, sb.m): c for j, c in sb.coeffs}
+    bound_a = POS_INF if sa.exact else Ext(Fraction(sa.K, sa.m))
+    bound_b = POS_INF if sb.exact else Ext(Fraction(sb.K, sb.m))
+    bound = min(bound_a, bound_b)
+    for e in set(ca) | set(cb):
+        if Ext(e) <= bound and ca.get(e) != cb.get(e):
+            return False
+    raise InsufficientTruncation("branches agree to their stored truncation")
+
+
+def meet_by_merges(v, w):
+    """``valuations.meet`` by the pairwise routines that the hull replaced:
+    two paths merge at once; a curve meets a path at the same point of
+    L-infinity by the one-shot search ``meet_curve_by_one_shot_merges``;
+    two curves there are walked to their divergence by the loop of
+    ``diverging_walk_steps`` and merged.  Each builds the geometry of its
+    merge and reads the lca off it."""
+    if isinstance(v, Root) or isinstance(w, Root):
+        return ROOT
+    if equal(v, w):
+        return v
+    cv, cw = isinstance(v, Curve), isinstance(w, Curve)
+    if cv and cw:
+        if v.branch.base != w.branch.base:
+            return ROOT
+        sv, sw = diverging_walk_steps((BranchWalk(v.branch.series),
+                                       BranchWalk(w.branch.series)),
+                                      DIVERGING_WORKS)
+        paths = [(v.branch.base, tuple(sv)), (w.branch.base, tuple(sw))]
+    elif cv or cw:
+        return meet_curve_by_one_shot_merges(*((v, w) if cv else (w, v)))
+    else:
+        paths = [path_key(v), path_key(w)]
+    merged, (ev, ew) = merge_paths(paths)
+    return _wrap_lca(merged.geometry().lca(ev, ew), merged, v, w)
+
+
+def compare_by_merges(v, w):
+    """``valuations.compare`` on ``meet_by_merges``."""
+    if equal(v, w):
+        return Comparison.EQ
+    m = meet_by_merges(v, w)
+    if equal(m, v):
+        return Comparison.LT
+    if equal(m, w):
+        return Comparison.GT
+    return Comparison.INCOMPARABLE
+
+
 def matrix_alpha_by_meets(S) -> SymMatrixExt:
-    """``richness.matrix_alpha`` by one pairwise ``meet`` per entry, each
-    merging two paths and building their geometry, as before the hull."""
+    """``richness.matrix_alpha`` by one pairwise ``meet_by_merges`` per
+    entry, each merging two paths and building their geometry."""
     vs = list(S)
     n = len(vs)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = skewness(vs[i])
         for j in range(i + 1, n):
-            a = skewness(meet(vs[i], vs[j]))
+            a = skewness(meet_by_merges(vs[i], vs[j]))
             rows[i][j] = rows[j][i] = a
     return SymMatrixExt(rows)
 
@@ -356,10 +416,11 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
 
 
 def meet_curve_by_one_shot_merges(c, v):
-    """``valuations._meet_curve_realizable`` with every probe rebuilt: each
-    probe merges both paths afresh and builds the whole geometry.  After
-    a doubling stride that the walk cannot certify, it steps back in +2
-    strides from the last depth checked."""
+    """The meet of a curve and a path, by the stride search of the hull's
+    curve deepening with every probe rebuilt: each probe merges both
+    paths afresh and builds the whole geometry.  After a doubling stride
+    that the walk cannot certify, it steps back in +2 strides from the
+    last depth checked."""
     target = path_key(v)
     if c.branch.base != target[0]:
         return ROOT

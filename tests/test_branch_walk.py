@@ -25,8 +25,7 @@ from valinf.errors import InsufficientTruncation, InvalidCluster
 from valinf.puiseux import (divisorial_on_segment, logplus_laplacian,
                             weighted_branches)
 from valinf.series import LaurentSeries, PuiseuxSeries
-from valinf.valuations import (Curve, Divisorial, ROOT,
-                               _meet_curve_realizable, _wrap_lca, equal,
+from valinf.valuations import (Curve, Divisorial, ROOT, _wrap_lca, equal,
                                meet, path_key, skewness)
 
 F = Fraction
@@ -544,8 +543,7 @@ def same_meet(a, b):
 @given(curve_divisorial_pairs())
 def test_curve_meet_matches_the_plus_two_search(pair):
     c, v = pair
-    assert same_meet(outcome(_meet_curve_realizable, c, v),
-                     outcome(meet_by_plus_two, c, v))
+    assert same_meet(outcome(meet, c, v), outcome(meet_by_plus_two, c, v))
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +737,22 @@ def test_logplus_laplacian_walks_once_per_meet_and_atom(counted):
     assert [(b.base, b.series.m) for b in bs] == \
         [(PY, 3), (PY, 2), (PointAtInfinity("x", F(1)), 1)]
     logplus_laplacian(Q)
-    # two walks for the meet of the pair at the point y, none for the
-    # pairs at different points, and one walk per atom
+    # the hull of the branches walks the two at the point y to their
+    # divergence, and leaves the branch alone at x = 1 unwalked; then one
+    # walk per atom
     assert [(w.series, d) for w, d in walks] == [
-        (bs[1].series, [3]), (bs[0].series, [4]),
+        (bs[0].series, [4]), (bs[1].series, [3]),
         (bs[0].series, [8, 17]), (bs[1].series, [8, 16]),
         (bs[2].series, [8])]
     assert len(calls) == sum(len(w._steps) for w, _ in walks)
+    # three branches at y (truncated at K = 8, which certifies the atoms):
+    # one walk each in the hull, then one per atom
+    walks.clear()
+    Q = poly.parse("(y-x^3)*(y-x^3-x^2)*(y-x^3-x^2-x)")
+    bs = [b for b, _ in weighted_branches(Q, 8)]
+    assert {b.base for b in bs} == {PY}
+    logplus_laplacian(Q, 8)
+    assert [w.series for w, _ in walks] == [b.series for b in bs] * 2
 
 
 def test_large_ramification_meet_walks_once(counted):

@@ -1,46 +1,110 @@
 """The hull of a valuation set against the pairwise meets it replaced.
 
-``richness.matrix_alpha`` reads every entry off one ``valuations.Hull``;
-its oracle is ``oracles.matrix_alpha_by_meets``, one pairwise ``meet``
-per entry.  ``chi_of``, ``star_system`` and ``kernel_function`` take their
-matrix from ``matrix_alpha``, so each must give what it gives with
-``richness.matrix_alpha`` patched to the oracle: the same values, or an
-error of the same type.  The hull's ``equal`` and ``comparable`` must
-agree with the pairwise ``equal`` and ``compare`` wherever those decide.
-The sets mix Root, duplicates, comparable monomials and exact curves,
-or are antichains of divisorials, or carry branches truncated at small K.
+``valuations.meet`` and ``compare`` read a pair off a two-element
+``Hull``; their oracles are ``oracles.meet_by_merges`` and
+``compare_by_merges``, the pairwise routines that merge two paths and
+build their geometry.  ``richness.matrix_alpha``, ``chi_of``,
+``star_system`` and ``kernel_function`` read their matrix off one hull
+of the set; each must give what its formula on
+``oracles.matrix_alpha_by_meets`` gives: the same values, or an error of
+the same type.  The hull's ``equal`` and ``comparable`` must agree with
+the pairwise ``equal`` and ``compare`` wherever those decide.  The sets
+mix Root, duplicates, comparable monomials and exact curves, or are
+antichains of divisorials, or carry branches truncated at small K.
 """
 
 import random
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dual_tree_by_adjacency, matrix_alpha_by_meets
+from oracles import (compare_by_merges, dual_tree_by_adjacency,
+                     matrix_alpha_by_meets, meet_by_merges,
+                     solve_linear_by_fractions)
 from randgen import (random_cluster, random_divisorial_set, random_mixed_set,
                      random_path_batches)
 from test_path_trie import CURVES
 from valinf import cluster, poly, richness, valuations
-from valinf.cluster import LINF, PathTrie, PointAtInfinity, extend_dual_tree
-from valinf.errors import DomainError, Undecided
-from valinf.exact import SymMatrixExt
-from valinf.potential import DiscreteMeasure
+from valinf.cluster import (LINF, BranchWalk, PathTrie, PointAtInfinity,
+                            PuiseuxBranch, extend_dual_tree)
+from valinf.errors import (DomainError, KernelDimensionNotOne,
+                           NonPositiveKernel, PreconditionViolated,
+                           SingularSystem, Undecided)
+from valinf.exact import NEG_INF, Ext, SymMatrixExt, chi_det
+from valinf.potential import DiscreteMeasure, measure
 from valinf.puiseux import weighted_branches
 from valinf.richness import ValuationSet, matrix_alpha
+from valinf.series import PuiseuxSeries
 from valinf.valuations import (ROOT, Comparison, Curve, Hull, Monomial,
-                               compare, equal, quasimonomial)
+                               compare, equal, meet, path_key, quasimonomial,
+                               skewness)
 
 F = Fraction
 derandomized = settings(derandomize=True, max_examples=40, deadline=None)
-FUNCTIONS = ("matrix_alpha", "chi_of", "star_system", "kernel_function")
 
 
-def outcome(name, S):
-    """What ``richness.<name>(S)`` gives, as comparable data, or the type
-    of what it raised."""
+def chi_by_meets(S):
+    """chi of S with duplicates dropped by the pairwise ``equal``, after
+    the whole pairwise matrix, which raises where a pair raises."""
+    matrix_alpha_by_meets(S)
+    kept = []
+    for v in S:
+        if not any(equal(k, v) for k in kept):
+            kept.append(v)
+    return chi_det(matrix_alpha_by_meets(kept)) if kept else Ext(1)
+
+
+def finite_skewness(S):
+    if any(skewness(v) == NEG_INF for v in S):
+        raise PreconditionViolated("curve-type element")
+    return list(S)
+
+
+def star_by_meets(S):
+    """The bordered system [1 1; 1 M] a = e_0 on the pairwise matrix."""
+    vs = finite_skewness(S)
+    M = matrix_alpha_by_meets(vs).entries
+    n = len(vs)
+    B = [[F(1)] * (n + 1)] + [[F(1)] + [a.q for a in M[i]] for i in range(n)]
+    res = solve_linear_by_fractions(B, [F(1)] + [F(0)] * n)
+    if res.solution is None or res.kernel:
+        raise SingularSystem("singular")
+    a = res.solution
+    return a, measure([(ROOT, a[0])] + list(zip(vs, a[1:])))
+
+
+def kernel_by_meets(S):
+    """The kernel of the pairwise matrix of an antichain, normalized to
+    total mass 1 and positive."""
+    vs = finite_skewness(S)
+    if any(compare_by_merges(v, w) != Comparison.INCOMPARABLE
+           for i, v in enumerate(vs) for w in vs[i + 1:]):
+        raise PreconditionViolated("comparable elements")
+    M = matrix_alpha_by_meets(vs).entries
+    kernel = solve_linear_by_fractions([[a.q for a in row]
+                                        for row in M]).kernel
+    if len(kernel) != 1:
+        raise KernelDimensionNotOne("kernel dimension")
+    total = sum(kernel[0])
+    if total == 0:
+        raise NonPositiveKernel("zero mass")
+    a = [c / total for c in kernel[0]]
+    if any(c <= 0 for c in a):
+        raise NonPositiveKernel("not positive")
+    return measure(list(zip(vs, a)))
+
+
+ORACLES = {"matrix_alpha": matrix_alpha_by_meets, "chi_of": chi_by_meets,
+           "star_system": star_by_meets, "kernel_function": kernel_by_meets}
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives, as comparable data, or the type of what it
+    raised."""
     try:
-        out = getattr(richness, name)(S)
+        out = f(*args)
     except (DomainError, Undecided) as e:
         return type(e)
     if isinstance(out, SymMatrixExt):
@@ -53,16 +117,6 @@ def outcome(name, S):
     return out
 
 
-def by_meets(name, S):
-    """``outcome`` with ``richness.matrix_alpha`` patched to the oracle."""
-    saved = richness.matrix_alpha
-    richness.matrix_alpha = matrix_alpha_by_meets
-    try:
-        return outcome(name, S)
-    finally:
-        richness.matrix_alpha = saved
-
-
 def pairwise(f, v, w):
     try:
         return f(v, w)
@@ -72,8 +126,9 @@ def pairwise(f, v, w):
 
 def check_against_meets(vs):
     S = ValuationSet.of(vs)
-    for name in FUNCTIONS:
-        assert outcome(name, S) == by_meets(name, S), name
+    for name, oracle in ORACLES.items():
+        assert outcome(getattr(richness, name), S) == outcome(oracle, S), \
+            name
     try:
         hull = Hull(vs)
     except (DomainError, Undecided):
@@ -115,6 +170,58 @@ def test_truncated_branch_sets_match_pairwise_meets(seed, picks):
         for b, _ in weighted_branches(poly.parse(text), K):
             vs.insert(rng.randrange(len(vs) + 1), Curve(b))
     check_against_meets(vs)
+
+
+# ---------------------------------------------------------------------------
+# the pairwise meet and comparison
+# ---------------------------------------------------------------------------
+
+
+def point(m):
+    """A meet as comparable data: ROOT, the curve itself, or the kind and
+    path of a realizable valuation."""
+    if isinstance(m, Curve):
+        return id(m)
+    if m is ROOT:
+        return m
+    return type(m).__name__, path_key(m)
+
+
+def met(f, v, w):
+    """``point(f(v, w))``, or the type of what it raised."""
+    try:
+        return point(f(v, w))
+    except (DomainError, Undecided) as e:
+        return type(e)
+
+
+def check_pairs(vs):
+    for v in vs:
+        for w in vs:
+            assert met(meet, v, w) == met(meet_by_merges, v, w)
+            assert outcome(compare, v, w) == outcome(compare_by_merges, v, w)
+
+
+@derandomized
+@given(st.integers(0, 10 ** 6), st.sampled_from(["mixed", "divisorial"]))
+def test_meet_and_compare_match_the_pairwise_merges(seed, kind):
+    rng = random.Random(seed)
+    if kind == "mixed":
+        check_pairs(random_mixed_set(rng, 6))
+    else:
+        check_pairs(random_divisorial_set(rng, rng.randint(1, 6)))
+
+
+@derandomized
+@given(st.integers(0, 10 ** 6), st.sampled_from(CURVES),
+       st.sampled_from([None, 2, 3, 5, 8]))
+def test_branch_meets_match_the_pairwise_merges(seed, text, K):
+    """The branches of one curve at K, beside mixed elements."""
+    rng = random.Random(seed)
+    vs = random_mixed_set(rng, 3)
+    for b, _ in weighted_branches(poly.parse(text), K):
+        vs.insert(rng.randrange(len(vs) + 1), Curve(b))
+    check_pairs(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +279,64 @@ def test_curves_are_deepened_without_a_geometry_per_probe():
     M, builds, meets = builds_and_meets(S)
     assert (builds, meets) == (1, 0)
     assert M.entries == matrix_alpha_by_meets(S).entries
+
+
+PY, PX = PointAtInfinity("y"), PointAtInfinity("x")
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Records the series of each ``BranchWalk`` started."""
+    out = []
+    init = BranchWalk.__init__
+
+    def recording(self, series):
+        out.append(series)
+        init(self, series)
+
+    monkeypatch.setattr(BranchWalk, "__init__", recording)
+    return out
+
+
+def test_a_curve_meets_an_element_elsewhere_at_the_root(walks):
+    """No walk and no geometry for a curve and an element at a different
+    point of L-infinity."""
+    c, = [Curve(b) for b, _ in weighted_branches(poly.parse("y^2-x^3"))]
+    d = Curve(next(b for b, _ in weighted_branches(
+        poly.parse("(y^2-x^3)*(y^3-x^2)")) if b.base == PX))
+    builds, undo = counting(cluster.build_geometry)
+    try:
+        for v in (quasimonomial(PX, 2, 3), Monomial(F(-1), F(2)), d):
+            assert meet(c, v) is ROOT and meet(v, c) is ROOT
+            assert compare(c, v) == Comparison.INCOMPARABLE
+    finally:
+        undo()
+    assert (walks, builds) == ([], [])
+
+
+def test_a_curve_alone_at_its_point_is_not_walked(walks):
+    """It ends at its base node, so a truncation that certifies no center
+    does not raise."""
+    c = Curve(PuiseuxBranch(PY, PuiseuxSeries.make(1, {}, 0)))
+    hull = Hull([c, quasimonomial(PX, 2, 3), ROOT])
+    assert hull.cluster.key(hull.ends[0]) == (PY, ())
+    assert walks == []
+    assert hull.matrix()[0] == [NEG_INF, Ext(1), Ext(1)]
+
+
+def test_a_curve_free_hull_adds_to_its_trie_once(monkeypatch):
+    v, w = quasimonomial(PY, 2, 3), quasimonomial(PY, 1, 4)
+    adds = []
+    add = PathTrie.add
+    monkeypatch.setattr(PathTrie, "add",
+                        lambda self, paths: adds.append(1) or add(self, paths))
+    builds, undo = counting(cluster.build_geometry)
+    try:
+        m = meet(v, w)
+    finally:
+        undo()
+    assert (len(adds), len(builds)) == (1, 1)
+    assert point(m) == point(meet_by_merges(v, w))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ from valinf.exact import Ext
 from valinf.potential import EdgePoint
 from valinf.puiseux import (divisorial_on_segment, logplus_laplacian,
                             weighted_branches)
-from valinf.valuations import (Divisorial, _meet_curve_realizable, path_key,
-                               skewness)
+from valinf.valuations import Divisorial, meet, path_key, skewness
 
 F = Fraction
 PY = PointAtInfinity("y")
@@ -193,7 +192,7 @@ def test_divisorial_on_segment_matches_the_rebuild(text, K, alpha):
 @given(curve_divisorial_pairs())
 def test_curve_meet_matches_one_shot_merges(pair):
     c, v = pair
-    got, asked = run_recording_depths(_meet_curve_realizable, c, v)
+    got, asked = run_recording_depths(meet, c, v)
     want, oracle_asked = run_recording_depths(meet_curve_by_one_shot_merges,
                                               c, v)
     assert got == want

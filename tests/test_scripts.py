@@ -61,12 +61,13 @@ def test_laplacian_rounds_prints_one_json_line_per_polynomial():
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["polynomial"] for r in rows] == [
         "y^3-x^4+1/2", "y^2-x^5+x^3*y", "(y^2-x^3)*(y^2-x^3-x^2*y)"]
-    # one meet per pair of branches and Q never evaluated (the rounds
-    # evaluated it 15, 17 and 31 times); the walks and geometry builds
-    # are those of the meets and of one segment search per branch
+    # one divergence per pair of branches at one point of L-infinity and
+    # Q never evaluated (the rounds evaluated it 15, 17 and 31 times); the
+    # walks and geometry builds are those of the hull of the branches and
+    # of one segment search per branch
     assert [(r["branches"], r["meets"], r["center_steps"],
              r["build_geometry"], r["eval_divisorial"]) for r in rows] == \
-        [(1, 0, 16, 2, 0), (2, 1, 27, 4, 0), (3, 3, 43, 6, 0)]
+        [(1, 0, 16, 2, 0), (2, 1, 27, 4, 0), (3, 1, 43, 6, 0)]
     assert all(r["seconds"] >= 0 for r in rows)
 
 
@@ -92,10 +93,10 @@ def test_set_scale_reads_the_matrix_off_one_geometry():
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["n"] for r in rows] == [4, 8]
-    # the antichain is reduced by pairwise compares, then its matrix is
-    # read off one hull
-    assert [r["matrix_alpha_build_geometry"] for r in rows] == [1, 1]
+    # the antichain is reduced by pairwise compares, then chi is read
+    # off one hull
+    assert [r["chi_of_build_geometry"] for r in rows] == [1, 1]
     assert all(r["build_geometry"] > 1 for r in rows)
     assert all(r[k] >= 0 for r in rows for k in
-               ("classify_s", "reduce_with_report_s", "matrix_alpha_s",
+               ("classify_s", "reduce_with_report_s", "chi_of_s",
                 "chi_det_s"))

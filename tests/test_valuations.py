@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import curves_equal_by_fractions
 from valinf import poly
 from valinf.cluster import PointAtInfinity, PuiseuxBranch, chain_cluster, Free
 from valinf.errors import InsufficientTruncation, RootValuation
@@ -165,3 +167,33 @@ def test_quasimonomial_alpha():
     p = PointAtInfinity("x", F(2))
     v = quasimonomial(p, 2, 5)
     assert skewness(v) == Ext(1 - F(5, 2))
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves at one point: a series, and the same one written with a
+    k-fold ramification index, truncated anywhere, exact or not, and
+    perhaps with one term changed."""
+    m = draw(st.integers(1, 3))
+    coeffs = draw(st.dictionaries(st.integers(1, 8), st.integers(-2, 2),
+                                  max_size=4))
+    K = draw(st.integers(max(coeffs, default=1), 10))
+    k = draw(st.integers(1, 3))
+    other = {j * k: c for j, c in coeffs.items()}
+    if draw(st.booleans()):
+        other[draw(st.integers(1, 10 * k))] = draw(st.integers(-2, 2))
+    K2 = draw(st.integers(max(other, default=1), 10 * k + 2))
+    return (curve_of_series(PY, m, coeffs, K, exact=draw(st.booleans())),
+            curve_of_series(PY, m * k, other, K2, exact=draw(st.booleans())))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(curve_pairs())
+def test_curve_equality_matches_the_fraction_keys(pair):
+    def outcome(f):
+        try:
+            return f(*pair)
+        except InsufficientTruncation as e:
+            return type(e)
+
+    assert outcome(equal) == outcome(curves_equal_by_fractions)
