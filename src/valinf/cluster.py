@@ -93,6 +93,49 @@ class PuiseuxBranch:
         return self.series.m
 
 
+def _extend_axes(nodes, axes, roots=None, children=None):
+    """Append to ``axes`` the boundary axes (u, v) of nodes[len(axes):],
+    raising InvalidCluster at the first malformed node.  Repeated base
+    points and centers are looked up in ``roots`` and ``children`` when
+    given; a ``PathTrie``'s index rules them out."""
+    for i in range(len(axes), len(nodes)):
+        nd = nodes[i]
+        if nd.parent == -1:
+            if nd.base is None or nd.step is not None:
+                raise InvalidCluster(f"malformed root node {i}")
+            if roots is not None:
+                if nd.base in roots:
+                    raise InvalidCluster(f"duplicate base point at node {i}")
+                roots.add(nd.base)
+            axes.append((LINF, None))
+            continue
+        if not (0 <= nd.parent < i):
+            raise InvalidCluster(f"parent of node {i} must precede it")
+        if nd.base is not None or nd.step is None:
+            raise InvalidCluster(f"malformed child node {i}")
+        if children is not None:
+            key = (nd.parent, nd.step)
+            if key in children:
+                raise InvalidCluster(f"node {i} repeats an existing center")
+            children[key] = i
+        pu, pv = axes[nd.parent]
+        st = nd.step
+        if isinstance(st, Free):
+            if st.c == 0 and pv is not None:
+                raise InvalidCluster(
+                    f"node {i}: center lies on a boundary; use a satellite")
+            axes.append((nd.parent, None))
+        elif isinstance(st, SatV):
+            if pv is None:
+                raise InvalidCluster(
+                    f"node {i}: no v-axis boundary at the parent")
+            axes.append((nd.parent, pv))
+        elif isinstance(st, SatU):
+            axes.append((pu, nd.parent))
+        else:
+            raise InvalidCluster(f"unknown step {st!r}")
+
+
 class Cluster:
     """An immutable forest of infinitely near points.
 
@@ -105,51 +148,15 @@ class Cluster:
 
     STRICT_MEMO_POLYS = 8
 
-    def __init__(self, nodes):
+    def __init__(self, nodes, _axes=None):
         self.nodes = tuple(nodes)
         self._geometry = None
         self._rows = None
         self._strict = {}
-        self._validate()
-
-    def _validate(self):
-        axes = []
-        seen_children = {}
-        seen_roots = set()
-        for i, nd in enumerate(self.nodes):
-            if nd.parent == -1:
-                if nd.base is None or nd.step is not None:
-                    raise InvalidCluster(f"malformed root node {i}")
-                if nd.base in seen_roots:
-                    raise InvalidCluster(f"duplicate base point at node {i}")
-                seen_roots.add(nd.base)
-                axes.append((LINF, None))
-                continue
-            if not (0 <= nd.parent < i):
-                raise InvalidCluster(f"parent of node {i} must precede it")
-            if nd.base is not None or nd.step is None:
-                raise InvalidCluster(f"malformed child node {i}")
-            key = (nd.parent, nd.step)
-            if key in seen_children:
-                raise InvalidCluster(f"node {i} repeats an existing center")
-            seen_children[key] = i
-            pu, pv = axes[nd.parent]
-            st = nd.step
-            if isinstance(st, Free):
-                if st.c == 0 and pv is not None:
-                    raise InvalidCluster(
-                        f"node {i}: center lies on a boundary; use a satellite")
-                axes.append((nd.parent, None))
-            elif isinstance(st, SatV):
-                if pv is None:
-                    raise InvalidCluster(
-                        f"node {i}: no v-axis boundary at the parent")
-                axes.append((nd.parent, pv))
-            elif isinstance(st, SatU):
-                axes.append((pu, nd.parent))
-            else:
-                raise InvalidCluster(f"unknown step {st!r}")
-        self.axes = tuple(axes)
+        if _axes is None:
+            _axes = []
+            _extend_axes(self.nodes, _axes, set(), {})
+        self.axes = tuple(_axes)
 
     def __len__(self):
         return len(self.nodes)
@@ -191,27 +198,31 @@ class PathTrie:
     intersection matrix, the dual tree, skewness and thinness.
 
     Cost: ``add`` is one dict lookup per step of the given paths, plus a
-    validation linear in the size of the cluster; the cluster's geometry
-    then costs O(n) for n nodes plus the transforms of the nodes that no
-    earlier cluster of the trie reached.  A one-shot trie
+    check of the nodes put in since the last ``add`` (the trie keeps the
+    axes of the nodes it has checked) and a copy of the node list; the
+    cluster's geometry then costs O(n) for n nodes plus the transforms of
+    the nodes that no earlier cluster of the trie reached.  A one-shot trie
     (``merge_paths``, ``chain_cluster``) costs what a single merge and
     build cost, and its cluster keeps nothing more once its geometry is
     built.
     """
 
-    __slots__ = ("nodes", "_index", "_rows")
+    __slots__ = ("nodes", "_index", "_rows", "_axes")
 
     def __init__(self):
         self.nodes = []
         self._index = {}
         self._rows = []
+        self._axes = []
 
     def add(self, paths):
         """Merge ``paths``, each (base, steps); returns (Cluster, node
-        index per path end).  After an add that raised InvalidCluster the
-        trie holds the invalid nodes, so it is not to be used again."""
+        index per path end).  An add raises InvalidCluster where
+        ``Cluster`` of the whole node list would; the trie then holds the
+        invalid nodes, so it is not to be used again."""
         ends = self.insert(paths)
-        cl = Cluster(self.nodes)
+        _extend_axes(self.nodes, self._axes)
+        cl = Cluster(self.nodes, self._axes)
         cl._rows = self._rows
         return cl, ends
 

@@ -27,22 +27,33 @@ def _q(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def _iroot(n: int, m: int):
+    """(r, exact): r = floor(n^(1/m)) for integers n >= 0 and m >= 1,
+    exact iff r^m = n; Newton's iteration from above 2^ceil(bits / m)."""
+    if n < 2:
+        return n, True
+    r = 1 << -(-n.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + n // r ** (m - 1)) // m
+        if s >= r:
+            return r, r ** m == n
+        r = s
+
+
 def rational_root(q: Fraction, m: int):
     """The rational r with r^m = q, r > 0 for even m, or None if none.
 
     For even m, -r is the other rational root.
     """
-    from sympy import integer_nthroot
-
     if m == 1:
         return q
     if q < 0 and m % 2 == 0:
         return None
-    rn, okn = integer_nthroot(abs(q.numerator), m)
-    rd, okd = integer_nthroot(q.denominator, m)
+    rn, okn = _iroot(abs(q.numerator), m)
+    rd, okd = _iroot(q.denominator, m)
     if not (okn and okd):
         return None
-    return Fraction(-int(rn) if q < 0 else int(rn), int(rd))
+    return Fraction(-rn if q < 0 else rn, rd)
 
 
 class Ext:

@@ -235,47 +235,56 @@ def power(P: dict, e: int) -> dict:
     return out
 
 
+def _rows(P: dict) -> list:
+    """An integer multiple of P as ``factor``'s rows: by powers of x, the
+    coefficients of the powers of y."""
+    D = lcm(*(c.denominator for c in P.values()))
+    rows = [[] for _ in range(max(i for i, _ in P) + 1)]
+    for (i, j), c in P.items():
+        row = rows[i]
+        row.extend([0] * (j + 1 - len(row)))
+        row[j] = c.numerator * (D // c.denominator)
+    return rows
+
+
+def divides(f: dict, P: dict) -> bool:
+    """Whether the nonzero f divides P in Q[x, y]."""
+    from . import factor     # loaded by the first session that factors
+
+    f, P = require_nonzero(f), normalize(P)
+    return not P or factor.quo2(_rows(P), _rows(f)) is not None
+
+
 def factor_rational(P: dict):
     """Irreducible factors over Q with multiplicities, content dropped.
 
-    The factors come in the order that ``sympy.factor_list`` gives on the
-    expression of P: the monomial x^a y^b dividing P splits into its
-    powers, the rest is factored in the variables it involves, and all
-    factors are sorted by sympy's key (dense length, number of variables,
-    multiplicity, dense coefficients), x before y on a tie.
+    Each factor has coprime integer coefficients and a positive leading
+    coefficient in the lexicographic order with x before y.  The
+    monomial x^a y^b dividing P splits into its powers, and the rest is
+    factored in the variables it involves (``factor``).  The factors are
+    sorted by the key (dense length, number of variables, multiplicity,
+    dense coefficients), where the dense coefficients run from the top
+    power of the first variable down, and x comes before y on a tie:
+    the order of ``sympy.factor_list`` on the expression of P.
     """
+    from . import factor     # loaded by the first session that factors
+
     P = require_nonzero(P)
     a = min(i for i, _ in P)
     b = min(j for _, j in P)
     keyed = [((2, 1, e, [1, 0]), {m: Fraction(1)}, e)
              for m, e in (((1, 0), a), ((0, 1), b)) if e]
-    rest = {(i - a, j - b): c for (i, j), c in P.items()}
-    used = [k for k in (0, 1) if any(m[k] for m in rest)]
-    if used:
-        import sympy
-
-        xy = sympy.symbols("x y")
-        p = sympy.Poly.from_dict(
-            {tuple(m[k] for k in used):
-             sympy.Rational(c.numerator, c.denominator)
-             for m, c in rest.items()}, *[xy[k] for k in used], domain="QQ")
-        for f, e in p.factor_list()[1]:
-            fd = {}
-            for mono, c in f.terms():
-                ij = [0, 0]
-                for k, d in zip(used, mono):
-                    ij[k] = int(d)
-                fd[tuple(ij)] = Fraction(int(c.numerator), int(c.denominator))
-            rep = f.rep.to_list()
-            keyed.append(((len(rep), len(used), int(e), rep), fd, int(e)))
+    rest = _rows({(i - a, j - b): c for (i, j), c in P.items()})
+    xs, ys = len(rest) > 1, max(map(len, rest)) > 1
+    for F, e in factor.factor_list2(rest) if xs or ys else ():
+        fd = {(i, j): Fraction(c) for i, row in enumerate(F)
+              for j, c in enumerate(row) if c}
+        if xs and ys:
+            rep = [row[::-1] for row in F[::-1]]
+        elif xs:
+            rep = [row[0] if row else 0 for row in F[::-1]]
+        else:
+            rep = F[0][::-1]
+        keyed.append(((len(rep), xs + ys, e, rep), fd, e))
     keyed.sort(key=lambda t: t[0])
     return [(fd, e) for _, fd, e in keyed]
-
-
-def to_sympy(P: dict):
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    return sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator) * x ** i * y ** j
-        for (i, j), c in P.items()])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil
+from math import ceil, lcm
 
 from . import poly
 from .cluster import (BranchWalk, Free, PathTrie, PointAtInfinity,
@@ -102,13 +102,23 @@ def _lower_edges(G: dict):
     return edges
 
 
-def _univariate(coeffs: dict):
-    """sympy.Poly in t over QQ with the coefficients {exponent: c}."""
-    import sympy
+def _rational_roots(coeffs: dict, what: str):
+    """The rational roots, with multiplicity, of the polynomial in t with
+    the rational coefficients {exponent: c}, one per linear factor in
+    ``factor.factor_list`` order; at the first factor of higher degree,
+    NeedsFieldExtension("<what>: <factor>")."""
+    from . import factor     # loaded by the first session that factors
 
-    return sympy.Poly.from_dict(
-        {(e,): sympy.Rational(c.numerator, c.denominator)
-         for e, c in coeffs.items()}, sympy.Symbol("t"), domain="QQ")
+    D = lcm(*(c.denominator for c in coeffs.values()))
+    f = [0] * (max(coeffs) + 1)
+    for e, c in coeffs.items():
+        f[e] = c.numerator * (D // c.denominator)
+    for g, e in factor.factor_list(f):
+        if len(g) > 2:
+            text = factor.expr_str(g, "t")
+            raise NeedsFieldExtension(f"{what}: {text}",
+                                      minimal_polynomial=text)
+        yield Fraction(-g[0], g[1]), e
 
 
 def _char_roots(G: dict, on_edge, p: int, jmin: int):
@@ -118,21 +128,10 @@ def _char_roots(G: dict, on_edge, p: int, jmin: int):
     share the same c^p, so each rational root of the polynomial in c^p
     gives one branch orbit, provided its p-th root is rational.
     """
-    import sympy
-
-    pol = _univariate({(j - jmin) // p: G[(i, j)] for (i, j) in on_edge})
-    _, factors = sympy.factor_list(pol)
     roots = []
-    for f, e in factors:
-        if f.degree() == 0:
-            continue
-        if f.degree() > 1:
-            raise NeedsFieldExtension(
-                f"edge polynomial has an irrational root: {f.as_expr()}",
-                minimal_polynomial=str(f.as_expr()))
-        a1, a0 = f.all_coeffs()
-        r = sympy.Rational(-a0) / sympy.Rational(a1)
-        t0 = Fraction(int(r.p), int(r.q))
+    for t0, e in _rational_roots(
+            {(j - jmin) // p: G[(i, j)] for (i, j) in on_edge},
+            "edge polynomial has an irrational root"):
         if t0 == 0:
             continue
         c = rational_root(t0, p)
@@ -140,7 +139,7 @@ def _char_roots(G: dict, on_edge, p: int, jmin: int):
             raise NeedsFieldExtension(
                 f"branch coefficient c with c^{p} = {t0} is irrational",
                 minimal_polynomial=f"c^{p} - ({t0})")
-        roots.append((c, int(e)))
+        roots.append((c, e))
     return roots
 
 
@@ -199,26 +198,11 @@ def _np_branches(G: dict, K: int, depth: int = 0):
 
 def _base_points(f: dict):
     """Points of the closure of {f=0} on the line at infinity."""
-    import sympy
-
     d = poly.degree(f)
-    bases = []
-    pol = _univariate({j: c for (i, j), c in f.items() if i + j == d})
-    if pol.degree() < d:
-        bases.append(PointAtInfinity("y"))
-    _, factors = sympy.factor_list(pol)
-    for g, _ in factors:
-        if g.degree() == 0:
-            continue
-        if g.degree() > 1:
-            raise NeedsFieldExtension(
-                f"irrational point at infinity: {g.as_expr()}",
-                minimal_polynomial=str(g.as_expr()))
-        a1, a0 = g.all_coeffs()
-        t0 = -Fraction(int(sympy.Rational(a0).p), int(sympy.Rational(a0).q)) \
-            / Fraction(int(sympy.Rational(a1).p), int(sympy.Rational(a1).q))
-        bases.append(PointAtInfinity("x", -t0))
-    return bases
+    top = {j: c for (i, j), c in f.items() if i + j == d}
+    return [PointAtInfinity("y")] * (max(top) < d) + [
+        PointAtInfinity("x", -t0) for t0, _ in
+        _rational_roots(top, "irrational point at infinity")]
 
 
 def weighted_branches(Q: dict, K=None):

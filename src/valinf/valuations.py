@@ -135,16 +135,6 @@ def branch_xy_series(branch: PuiseuxBranch):
     return x, y, b
 
 
-def _minpoly_divides(minpoly: tuple, P: dict) -> bool:
-    import sympy
-
-    x, y = sympy.symbols("x y")
-    f = poly.to_sympy(dict(minpoly))
-    g = poly.to_sympy(P)
-    _, rem = sympy.div(g, f, x, y, domain="QQ")
-    return sympy.expand(rem) == 0
-
-
 def curve_evaluate(branch: PuiseuxBranch, P: dict) -> Ext:
     P = poly.require_nonzero(P)
     x, y, b = branch_xy_series(branch)
@@ -156,7 +146,8 @@ def curve_evaluate(branch: PuiseuxBranch, P: dict) -> Ext:
     if acc.is_zero_known():
         if acc.prec is None:
             return POS_INF
-        if branch.minpoly is not None and _minpoly_divides(branch.minpoly, P):
+        if branch.minpoly is not None \
+                and poly.divides(dict(branch.minpoly), P):
             return POS_INF
         raise InsufficientTruncation(
             "restriction vanishes to the certified order")

@@ -6,10 +6,12 @@ from typing import Sequence
 
 from valinf import poly
 from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
-                            PuiseuxBranch, SatU, SatV, branch_steps,
-                            chain_cluster, eval_divisorial, merge_paths)
+                            PointAtInfinity, PuiseuxBranch, SatU, SatV,
+                            branch_steps, chain_cluster, eval_divisorial,
+                            merge_paths)
 from valinf.errors import (InsufficientTruncation, InternalMismatch,
-                           InvalidCluster, PreconditionViolated)
+                           InvalidCluster, NeedsFieldExtension,
+                           PreconditionViolated)
 from valinf.exact import (POS_INF, Ext, LinSolveResult, SymMatrixExt, _q,
                           sign_at_neg_infinity)
 from valinf.potential import EdgePoint, measure
@@ -590,3 +592,134 @@ def diverging_walk_steps(walks, works):
 def full_diverging_steps(walks):
     """``cluster.diverging_steps`` on two ``FullPrecisionWalk``s."""
     return diverging_walk_steps(walks, FULL_DIVERGING_WORKS)
+
+
+# ---------------------------------------------------------------------------
+# factoring and division through sympy, the engine before valinf.factor
+# ---------------------------------------------------------------------------
+
+
+def to_sympy(P: dict):
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * x ** i * y ** j
+        for (i, j), c in P.items()])
+
+
+def _univariate(coeffs: dict):
+    """sympy.Poly in t over QQ with the coefficients {exponent: c}."""
+    import sympy
+
+    return sympy.Poly.from_dict(
+        {(e,): sympy.Rational(c.numerator, c.denominator)
+         for e, c in coeffs.items()}, sympy.Symbol("t"), domain="QQ")
+
+
+def rational_root_by_sympy(q: Fraction, m: int):
+    """``exact.rational_root`` on sympy's ``integer_nthroot``."""
+    from sympy import integer_nthroot
+
+    if m == 1:
+        return q
+    if q < 0 and m % 2 == 0:
+        return None
+    rn, okn = integer_nthroot(abs(q.numerator), m)
+    rd, okd = integer_nthroot(q.denominator, m)
+    if not (okn and okd):
+        return None
+    return Fraction(-int(rn) if q < 0 else int(rn), int(rd))
+
+
+def factor_rational_by_sympy(P: dict):
+    """``poly.factor_rational`` on ``sympy.Poly.factor_list``."""
+    P = poly.require_nonzero(P)
+    a = min(i for i, _ in P)
+    b = min(j for _, j in P)
+    keyed = [((2, 1, e, [1, 0]), {m: Fraction(1)}, e)
+             for m, e in (((1, 0), a), ((0, 1), b)) if e]
+    rest = {(i - a, j - b): c for (i, j), c in P.items()}
+    used = [k for k in (0, 1) if any(m[k] for m in rest)]
+    if used:
+        import sympy
+
+        xy = sympy.symbols("x y")
+        p = sympy.Poly.from_dict(
+            {tuple(m[k] for k in used):
+             sympy.Rational(c.numerator, c.denominator)
+             for m, c in rest.items()}, *[xy[k] for k in used], domain="QQ")
+        for f, e in p.factor_list()[1]:
+            fd = {}
+            for mono, c in f.terms():
+                ij = [0, 0]
+                for k, d in zip(used, mono):
+                    ij[k] = int(d)
+                fd[tuple(ij)] = Fraction(int(c.numerator), int(c.denominator))
+            rep = f.rep.to_list()
+            keyed.append(((len(rep), len(used), int(e), rep), fd, int(e)))
+    keyed.sort(key=lambda t: t[0])
+    return [(fd, e) for _, fd, e in keyed]
+
+
+def char_roots_by_sympy(G: dict, on_edge, p: int, jmin: int):
+    """``puiseux._char_roots`` on ``sympy.factor_list``."""
+    import sympy
+
+    pol = _univariate({(j - jmin) // p: G[(i, j)] for (i, j) in on_edge})
+    _, factors = sympy.factor_list(pol)
+    roots = []
+    for f, e in factors:
+        if f.degree() == 0:
+            continue
+        if f.degree() > 1:
+            raise NeedsFieldExtension(
+                f"edge polynomial has an irrational root: {f.as_expr()}",
+                minimal_polynomial=str(f.as_expr()))
+        a1, a0 = f.all_coeffs()
+        r = sympy.Rational(-a0) / sympy.Rational(a1)
+        t0 = Fraction(int(r.p), int(r.q))
+        if t0 == 0:
+            continue
+        c = rational_root_by_sympy(t0, p)
+        if c is None:
+            raise NeedsFieldExtension(
+                f"branch coefficient c with c^{p} = {t0} is irrational",
+                minimal_polynomial=f"c^{p} - ({t0})")
+        roots.append((c, int(e)))
+    return roots
+
+
+def base_points_by_sympy(f: dict):
+    """``puiseux._base_points`` on ``sympy.factor_list``."""
+    import sympy
+
+    d = poly.degree(f)
+    bases = []
+    pol = _univariate({j: c for (i, j), c in f.items() if i + j == d})
+    if pol.degree() < d:
+        bases.append(PointAtInfinity("y"))
+    _, factors = sympy.factor_list(pol)
+    for g, _ in factors:
+        if g.degree() == 0:
+            continue
+        if g.degree() > 1:
+            raise NeedsFieldExtension(
+                f"irrational point at infinity: {g.as_expr()}",
+                minimal_polynomial=str(g.as_expr()))
+        a1, a0 = g.all_coeffs()
+        t0 = -Fraction(int(sympy.Rational(a0).p), int(sympy.Rational(a0).q)) \
+            / Fraction(int(sympy.Rational(a1).p), int(sympy.Rational(a1).q))
+        bases.append(PointAtInfinity("x", -t0))
+    return bases
+
+
+def minpoly_divides_by_sympy(minpoly: tuple, P: dict) -> bool:
+    """``valuations._minpoly_divides`` on ``sympy.div``."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    f = to_sympy(dict(minpoly))
+    g = to_sympy(P)
+    _, rem = sympy.div(g, f, x, y, domain="QQ")
+    return sympy.expand(rem) == 0

@@ -16,6 +16,7 @@ oracle as well.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (divisorial_on_segment_by_probes,
@@ -27,7 +28,7 @@ from valinf import poly
 from valinf.cluster import (BranchWalk, Cluster, Free, PathTrie,
                             PointAtInfinity, SatU, SatV, build_geometry,
                             merge_paths, ord_along_path)
-from valinf.errors import DomainError, Undecided
+from valinf.errors import DomainError, InvalidCluster, Undecided
 from valinf.exact import Ext
 from valinf.potential import EdgePoint
 from valinf.puiseux import (divisorial_on_segment, logplus_laplacian,
@@ -49,6 +50,39 @@ def table(g):
 polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                         st.integers(-3, 3).filter(bool),
                         min_size=1, max_size=4)
+
+
+steps = st.sampled_from([Free(F(0)), Free(F(1)), SatU(), SatV()])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from([PY, PointAtInfinity(
+    "x", F(1))]), st.lists(steps, max_size=4).map(tuple)), min_size=1,
+    max_size=3), min_size=1, max_size=4))
+def test_trie_checks_its_new_nodes_as_a_cluster_checks_all(batches):
+    # an add checks only the nodes put in since the last one, and raises
+    # what Cluster of the whole node list raises
+    trie = PathTrie()
+    for batch in batches:
+        try:
+            cl, _ = trie.add(batch)
+        except InvalidCluster as e:
+            with pytest.raises(InvalidCluster) as full:
+                Cluster(trie.nodes)
+            assert str(full.value) == str(e)
+            return
+        assert cl.axes == Cluster(trie.nodes).axes
+
+
+def test_an_invalid_trie_built_incrementally():
+    trie = PathTrie()
+    trie.add([(PY, (SatU(),))])
+    with pytest.raises(InvalidCluster) as inc:
+        trie.add([(PY, (SatU(), Free(F(0))))])
+    with pytest.raises(InvalidCluster) as full:
+        Cluster(trie.nodes)
+    assert str(inc.value) == str(full.value) \
+        == "node 2: center lies on a boundary; use a satellite"
 
 
 @derandomized

@@ -1,11 +1,14 @@
 """The native polynomial parser and the factoring entry point.
 
 ``poly.parse`` is a recursive-descent parser; the sympify-based parser it
-replaced is kept here as its oracle.  ``factor_rational`` builds a
-``sympy.Poly`` from the coefficients; factoring the expression tree is its
-oracle.
+replaced is kept here as its oracle.  ``factor_rational`` runs on
+``valinf.factor``; sympy's ``Poly.factor_list`` path that it replaced
+(``oracles.factor_rational_by_sympy``) and factoring the expression tree
+are its oracles.  No run-time path imports sympy.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import valinf
+from oracles import factor_rational_by_sympy, to_sympy
 from valinf import poly
 from valinf.errors import DomainError, PolynomialSyntaxError
 
@@ -47,7 +51,7 @@ def factor_by_expression(P):
     """The old factoring path: an expression tree through factor_list."""
     import sympy
 
-    _, factors = sympy.factor_list(poly.to_sympy(P))
+    _, factors = sympy.factor_list(to_sympy(P))
     out = []
     for f, e in factors:
         fd = _from_sympy(f)
@@ -136,9 +140,13 @@ def test_power_bits_cap():
     assert time.perf_counter() - start < 0.5
 
 
+# x^4+1 and y^4-10*y^2+1 are irreducible over Q but split modulo every
+# prime; x^2+y^2 and x^2-2*y^2 are irreducible but split over a number
+# field
 factor_pool = st.sampled_from([
     "x", "y", "x-1", "y+2", "x*y-1", "y^2+1", "x^2-y", "2*x+3*y", "x^2+1",
-    "y^3-x^2", "x+y", "2*y-1", "x^2*y+1", "3*x-2", "y^2-2"])
+    "y^3-x^2", "x+y", "2*y-1", "x^2*y+1", "3*x-2", "y^2-2", "x^4+1",
+    "y^4-10*y^2+1", "x^2+y^2", "x^2-2*y^2"])
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -149,26 +157,69 @@ def test_factor_rational_matches_expression_factoring(factors, content):
     P = {(0, 0): content}
     for f, e in factors:
         P = poly.mul(P, poly.power(poly.parse(f), e))
-    assert poly.factor_rational(P) == factor_by_expression(P)
+    assert poly.factor_rational(P) == factor_rational_by_sympy(P) \
+        == factor_by_expression(P)
 
 
-def test_divisorial_evaluation_never_imports_sympy(tmp_path):
-    # a geometry-only session (parse, divisorials, evaluate) must not pay
-    # for importing sympy
+# One scenario for the runs with sympy blocked: curves in a classified
+# set, Laplacians of a curve with truncated branches, algebraize, and a
+# polynomial with an irrational point at infinity.
+BLOCKED_SCENARIO = {
+    "format": 1,
+    "valuations": {
+        "d": {"kind": "divisorial", "base": {"chart": "x"},
+              "steps": [{"type": "free", "c": "1/2"},
+                        {"type": "satellite-u"}]},
+        "m1": {"kind": "monomial", "s": "-1", "t": "1"},
+        "c1": {"kind": "curve", "base": {"chart": "y"}, "m": 3,
+               "coefficients": {"1": "1"}, "K": 4, "exact": True}},
+    "polynomials": {"P": "(y - x^2)^2/3 - x*y + 1", "Q": "y^2-x^3-1",
+                    "I": "x^2+y^2-1"},
+    "algebraize": {
+        "branches": [{"polynomial": "y^2-x^3", "primes": [2, 3]}],
+        "points": [[str(n * n), str(n ** 3)] for n in range(2, 13)],
+        "max_degree": 6}}
+
+
+def cli_code(*argv):
+    """Code that runs the CLI on the scenario and prints its exit code."""
+    return f"print('exit', cli.main({list(argv)!r} + ['-f', PATH]))"
+
+
+# (name, code, exit code): the code prints what the test compares
+BLOCKED_CASES = [
+    ("classify", cli_code("classify", "--max-degree", "4"), 0),
+    ("laplacian", cli_code("laplacian", "Q"), 0),
+    ("log-laplacian", cli_code("log-laplacian", "Q"), 0),
+    ("algebraize", cli_code("algebraize"), 0),
+    ("eval-divisorial", cli_code("eval", "d", "P"), 0),
+    ("needs-field-extension", cli_code("laplacian", "I"), 2),
+    ("eval-minpoly", "from valinf import poly, puiseux, valuations\n"
+     "Q = poly.parse('y^2-x^3-1')\n"
+     "b, = puiseux.branches_at_infinity(Q)\n"
+     "assert not b.series.exact and b.minpoly is not None\n"
+     "P = poly.mul(Q, poly.parse('x+y'))\n"
+     "print('exit', 0, valuations.evaluate(valuations.Curve(b), P))", 0)]
+
+
+@pytest.mark.parametrize("code,exit_code",
+                         [case[1:] for case in BLOCKED_CASES],
+                         ids=[case[0] for case in BLOCKED_CASES])
+def test_runs_with_sympy_blocked(tmp_path, code, exit_code):
+    # with sys.modules["sympy"] = None any import of sympy fails; each run
+    # must answer as it does here, where sympy can be imported
     path = tmp_path / "sc.json"
-    path.write_text(json.dumps({
-        "format": 1,
-        "valuations": {"d": {"kind": "divisorial", "base": {"chart": "x"},
-                             "steps": [{"type": "free", "c": "1/2"},
-                                       {"type": "satellite-u"}]}},
-        "polynomials": {"P": "(y - x^2)^2/3 - x*y + 1"}}))
-    code = ("import sys\n"
-            "from valinf import cli\n"
-            f"rc = cli.main(['eval', '-f', {str(path)!r}, 'd', 'P'])\n"
-            "print(rc, 'sympy' in sys.modules)\n")
+    path.write_text(json.dumps(BLOCKED_SCENARIO))
+    code = f"from valinf import cli\nPATH = {str(path)!r}\n{code}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        exec(code, {})
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(valinf.__file__)))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 False"
+    blocked = subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.modules['sympy'] = None\n"
+         + code], env=env, capture_output=True, text=True, timeout=60)
+    assert blocked.returncode == 0, blocked.stderr
+    assert (blocked.stdout, blocked.stderr) == (out.getvalue(), err.getvalue())
+    assert blocked.stdout.splitlines()[-1].split()[:2] == ["exit",
+                                                          str(exit_code)]

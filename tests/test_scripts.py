@@ -100,3 +100,17 @@ def test_set_scale_reads_the_matrix_off_one_geometry():
     assert all(r[k] >= 0 for r in rows for k in
                ("classify_s", "reduce_with_report_s", "chi_of_s",
                 "chi_det_s"))
+
+
+def test_import_cost_prints_one_json_line_per_command():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/import_cost.py", "--command", "eval",
+         "laplacian"], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["command"] for r in rows] == ["eval", "laplacian"]
+    for r in rows:
+        assert (r["exit"], r["sympy"]) == (0, False)
+        assert r["seconds"] > 0 and r["maxrss_mb"] > 0
