@@ -9,8 +9,7 @@ Exit codes, one per family of ``valinf.errors``; a failure prints one
 - 2, bad input: ``DomainError`` (``ScenarioError`` included), a
   scenario file that cannot be read, or a bad command line;
 - 3, undecided at this truncation, precision or cap: ``Undecided``
-  (``InsufficientTruncation``, ``TruncationUnderflow``, ``Undecidable``,
-  ``PrecisionExceeded``).
+  (``InsufficientTruncation``, ``Undecidable``, ``PrecisionExceeded``).
 """
 
 from __future__ import annotations

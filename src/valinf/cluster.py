@@ -25,7 +25,7 @@ from . import poly
 from .errors import (InsufficientTruncation, InvalidCluster,
                      InternalMismatch, PreconditionViolated, RootValuation)
 from .exact import _q, invert_matrix
-from .series import LaurentSeries, PuiseuxSeries, TruncSeries2
+from .series import LaurentSeries, PuiseuxSeries
 
 LINF = "linf"
 
@@ -268,7 +268,7 @@ def merge_paths(paths):
 # ---------------------------------------------------------------------------
 
 
-def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> TruncSeries2:
+def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> dict:
     """Local equation u^deg * P at the base point, as an exact polynomial.
 
     P is {(i, j): coefficient} for x^i y^j; deg its total degree.
@@ -286,7 +286,7 @@ def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> TruncSeries2
         for (i, j), c in P.items():
             key = (deg - i - j, i)
             out[key] = out.get(key, Fraction(0)) + c
-    return TruncSeries2(out)
+    return {k: c for k, c in out.items() if c}
 
 
 def blowup_substitute(F: dict, step, order=None) -> dict:
@@ -327,11 +327,28 @@ def blowup_substitute(F: dict, step, order=None) -> dict:
             if c and (order is None or k[0] + k[1] < order)}
 
 
-def step_transform(F: TruncSeries2, step, mult: int) -> TruncSeries2:
-    """Strict transform of F into the coordinates of a child node."""
-    G = TruncSeries2.unchecked(blowup_substitute(F.coeffs, step, F.order),
-                               F.order)
-    return G.divide_v(mult) if isinstance(step, SatU) else G.divide_u(mult)
+def mult(F: dict) -> int:
+    """Multiplicity of F at the origin: the least total degree of a term."""
+    if not F:
+        raise ValueError("multiplicity of the zero polynomial")
+    return min(i + j for i, j in F)
+
+
+def step_transform(F: dict, step, m: int) -> dict:
+    """Strict transform of F into the coordinates of a child node: the
+    total transform divided by u^m, or by v^m after SatU."""
+    out = {}
+    if isinstance(step, SatU):
+        for (i, j), c in blowup_substitute(F, step).items():
+            if j < m:
+                raise ValueError("not divisible by v^m")
+            out[(i, j - m)] = c
+    else:
+        for (i, j), c in blowup_substitute(F, step).items():
+            if i < m:
+                raise ValueError("not divisible by u^m")
+            out[(i - m, j)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +435,24 @@ def _extend_rows(rows: list, cl: Cluster):
         nd = cl.nodes[i]
         if nd.parent == -1:
             if nd.base.chart == "x":
-                fx = TruncSeries2.const(1)
-                fy = TruncSeries2({(0, 1): Fraction(1), (0, 0): -nd.base.c})
+                fx = {(0, 0): Fraction(1)}
+                fy = {(0, 1): Fraction(1)}
+                if nd.base.c:
+                    fy[(0, 0)] = -nd.base.c
             else:
-                fx = TruncSeries2.var_v()
-                fy = TruncSeries2.const(1)
+                fx = {(0, 1): Fraction(1)}
+                fy = {(0, 0): Fraction(1)}
         else:
             pfx, pfy = rows[nd.parent][:2]
-            fx = step_transform(pfx, nd.step, pfx.mult())
-            fy = step_transform(pfy, nd.step, pfy.mult())
+            fx = step_transform(pfx, nd.step, mult(pfx))
+            fy = step_transform(pfy, nd.step, mult(pfy))
         ua, va = cl.axes[i]
         ox, oy, ow = ords(ua)
         if va is not None:
             vx, vy, vw = ords(va)
             ox, oy, ow = ox + vx, oy + vy, ow + vw
-        ox += fx.mult()
-        oy += fy.mult()
+        ox += mult(fx)
+        oy += mult(fy)
         b = -min(ox, oy)
         if b <= 0:
             raise InternalMismatch(f"non-positive b at node {i}")
@@ -561,12 +580,12 @@ def ord_along_path(cl: Cluster, node: int, P: dict) -> dict:
         if nd.parent == -1:
             F = base_strict_series(nd.base, P, -memo[LINF][2])
         else:
-            F, mult, _ = memo[nd.parent]
-            F = step_transform(F, nd.step, mult)
-        mult = F.mult()
+            F, m, _ = memo[nd.parent]
+            F = step_transform(F, nd.step, m)
+        m = mult(F)
         ua, va = cl.axes[i]
         # axes of a path node are themselves on the path (or LINF)
-        memo[i] = (F, mult, memo[ua][2] + mult
+        memo[i] = (F, m, memo[ua][2] + m
                    + (memo[va][2] if va is not None else 0))
     return {c: memo[c][2] for c in [LINF] + path}
 

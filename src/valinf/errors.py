@@ -8,9 +8,9 @@ Each family has one CLI exit code:
   ``SkewnessTooHigh``, ``SingularSystem``, ``KernelDimensionNotOne``,
   ``NonPositiveKernel``, ``WitnessNotFound``, ``ScenarioError``;
 - 3, undecided at this truncation, precision or cap: ``Undecided`` and
-  its subclasses ``InsufficientTruncation``, ``TruncationUnderflow``,
-  ``Undecidable``, ``PrecisionExceeded``, which are siblings, so that
-  catching one never catches another;
+  its subclasses ``InsufficientTruncation``, ``Undecidable`` and
+  ``PrecisionExceeded``, which are siblings, so that catching one never
+  catches another;
 - 1, internal error: ``InternalMismatch`` (an ``AssertionError``),
   ``IndeterminateForm`` (an ``ArithmeticError``) and any other exception.
 
@@ -37,11 +37,6 @@ class IndeterminateForm(ArithmeticError):
 
 class InsufficientTruncation(Undecided):
     """A series-backed quantity could not be certified at the stored order."""
-
-
-class TruncationUnderflow(Undecided, ArithmeticError):
-    """A truncation order fell below 1, or a truncated series was
-    translated."""
 
 
 class Undecidable(Undecided):
@@ -127,5 +122,5 @@ __all__ = [
     "NeedsFieldExtension", "ZeroOrConstant", "PreconditionViolated",
     "SkewnessTooHigh", "SingularSystem", "KernelDimensionNotOne",
     "NonPositiveKernel", "WitnessNotFound", "Undecidable", "ScenarioError",
-    "InsufficientTruncation", "TruncationUnderflow", "IndeterminateForm",
+    "InsufficientTruncation", "IndeterminateForm",
 ]

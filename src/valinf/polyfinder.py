@@ -97,7 +97,7 @@ def _divisorial_rows(v: Divisorial, monomials, d: int, strict: bool) -> list:
     cols = {}
     for k, m in enumerate(monomials):
         F = {key: c for key, c
-             in base_strict_series(base, {m: Fraction(1)}, d).coeffs.items()
+             in base_strict_series(base, {m: Fraction(1)}, d).items()
              if key[0] + key[1] < need}
         for st in steps:
             F = blowup_substitute(F, st, need)

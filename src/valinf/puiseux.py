@@ -231,10 +231,7 @@ def _branches(terms: tuple, K: int):
         fmass = 0
         for base in _base_points(f):
             G = base_strict_series(base, f, df)
-            if G.order is not None:
-                raise InternalMismatch("chart series of a polynomial "
-                                       "must be exact")
-            for m, cs, exact in _np_branches(dict(G.coeffs), K):
+            for m, cs, exact in _np_branches(G, K):
                 kept = {j: c for j, c in cs.items() if j <= K}
                 series = PuiseuxSeries.make(
                     m, kept, K,

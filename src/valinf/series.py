@@ -1,9 +1,9 @@
-"""Truncated series types used by chart propagation and branch tracking.
+"""Series types used by branch tracking.
 
-``TruncSeries2`` is a bivariate power series with an optional truncation
-order (``None`` means exact polynomial).  ``LaurentSeries`` is univariate
-with integer (possibly negative) exponents and a precision bound.
-``PuiseuxSeries`` packages branch data y_q = sum a_j x_q^(j/m).
+``LaurentSeries`` is univariate with integer (possibly negative)
+exponents and a precision bound.  ``PuiseuxSeries`` packages branch data
+y_q = sum a_j x_q^(j/m).  Chart equations are exact polynomials, plain
+``poly`` dicts; ``compose_series`` substitutes into one.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InsufficientTruncation, TruncationUnderflow
+from . import poly
+from .errors import InsufficientTruncation
 from .exact import _q
 
 
@@ -26,6 +27,20 @@ def powers(base, one):
         return table[k]
 
     return power
+
+
+def compose_series(f: dict, sub_u: dict, sub_v: dict) -> dict:
+    """Substitute u := sub_u, v := sub_v into the polynomial f.
+
+    All three are {(i, j): Fraction} dicts.  Blowup charts use the direct
+    ``cluster.blowup_substitute``; the tests keep this generic composition
+    as its oracle.
+    """
+    out = {}
+    for (i, j), c in f.items():
+        term = poly.mul(poly.power(sub_u, i), poly.power(sub_v, j))
+        out = poly.add(out, poly.scale(term, c))
+    return out
 
 
 def _min_order(a, b):
@@ -44,176 +59,6 @@ def _integer_terms(coeffs: dict):
         den = lcm(den, c.denominator)
     return [(e, coeffs[e].numerator * (den // coeffs[e].denominator))
             for e in sorted(coeffs)], den
-
-
-class TruncSeries2:
-    """Power series in (u, v) over Q, exact below ``order`` (None = exact)."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs=None, order=None):
-        cs = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                c = _q(c)
-                if c == 0:
-                    continue
-                if order is not None and i + j >= order:
-                    continue
-                cs[(i, j)] = c
-        self.coeffs = cs
-        self.order = order
-        if order is not None and order < 1:
-            raise TruncationUnderflow("truncation order below 1")
-
-    @staticmethod
-    def unchecked(coeffs: dict, order) -> "TruncSeries2":
-        """A series from coefficients that are already nonzero Fractions
-        of total degree below ``order``; they are not checked again."""
-        out = object.__new__(TruncSeries2)
-        out.coeffs = coeffs
-        out.order = order
-        return out
-
-    @staticmethod
-    def const(c) -> "TruncSeries2":
-        return TruncSeries2({(0, 0): _q(c)})
-
-    @staticmethod
-    def var_u() -> "TruncSeries2":
-        return TruncSeries2({(1, 0): Fraction(1)})
-
-    @staticmethod
-    def var_v() -> "TruncSeries2":
-        return TruncSeries2({(0, 1): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def truncate(self, order) -> "TruncSeries2":
-        return TruncSeries2(self.coeffs, _min_order(self.order, order))
-
-    def low_order(self):
-        """Min total degree of a stored term; None for the zero series."""
-        if not self.coeffs:
-            return None
-        return min(i + j for i, j in self.coeffs)
-
-    def mult(self) -> int:
-        """Certified multiplicity at the origin.
-
-        For truncated series the multiplicity is only trusted when strictly
-        below the truncation order.
-        """
-        lo = self.low_order()
-        if lo is None:
-            if self.order is None:
-                raise ValueError("multiplicity of the zero series")
-            raise InsufficientTruncation("zero to stored order")
-        if self.order is not None and lo >= self.order:
-            raise InsufficientTruncation("order not certified")
-        return lo
-
-    def __add__(self, other: "TruncSeries2") -> "TruncSeries2":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return TruncSeries2(out, _min_order(self.order, other.order))
-
-    def __neg__(self) -> "TruncSeries2":
-        return TruncSeries2({k: -c for k, c in self.coeffs.items()}, self.order)
-
-    def __sub__(self, other: "TruncSeries2") -> "TruncSeries2":
-        return self + (-other)
-
-    def __mul__(self, other: "TruncSeries2") -> "TruncSeries2":
-        # terms of f at or above its order are unknown; they meet g's lowest
-        # term first, so the product is exact below min(Nf + og, Ng + of)
-        order = None
-        if self.order is not None:
-            og = other.low_order()
-            order = self.order + (og if og is not None else 0)
-        if other.order is not None:
-            of = self.low_order()
-            o2 = other.order + (of if of is not None else 0)
-            order = _min_order(order, o2)
-        out = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                if order is not None and k[0] + k[1] >= order:
-                    continue
-                out[k] = out.get(k, Fraction(0)) + c1 * c2
-        return TruncSeries2(out, order)
-
-    def scale(self, c) -> "TruncSeries2":
-        c = _q(c)
-        if c == 0:
-            return TruncSeries2({}, self.order)
-        return TruncSeries2({k: c * a for k, a in self.coeffs.items()}, self.order)
-
-    def divide_u(self, m: int) -> "TruncSeries2":
-        """Exact division by u^m."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if i < m:
-                raise ValueError("not divisible by u^m")
-            out[(i - m, j)] = c
-        order = None if self.order is None else max(self.order - m, 1)
-        return TruncSeries2.unchecked(out, order)
-
-    def divide_v(self, m: int) -> "TruncSeries2":
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if j < m:
-                raise ValueError("not divisible by v^m")
-            out[(i, j - m)] = c
-        order = None if self.order is None else max(self.order - m, 1)
-        return TruncSeries2.unchecked(out, order)
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries2)
-                and self.coeffs == other.coeffs and self.order == other.order)
-
-    def __repr__(self):
-        terms = " + ".join(
-            f"{c}*u^{i}*v^{j}" for (i, j), c in sorted(self.coeffs.items()))
-        tail = "" if self.order is None else f" + O(deg {self.order})"
-        return (terms or "0") + tail
-
-
-def compose_series(f: TruncSeries2, sub_u: TruncSeries2,
-                   sub_v: TruncSeries2) -> TruncSeries2:
-    """Substitute u := sub_u, v := sub_v into f.
-
-    Blowup charts use the direct ``cluster.blowup_substitute``; the tests
-    keep this generic composition as its oracle.
-    Substitutions with nonzero constant term (translations) are allowed
-    only when f is an exact polynomial, since re-expansion at the new
-    origin mixes all orders.
-    """
-    cu = sub_u.coeffs.get((0, 0), 0)
-    cv = sub_v.coeffs.get((0, 0), 0)
-    if (cu != 0 or cv != 0) and f.order is not None:
-        raise TruncationUnderflow("translation of a truncated series")
-
-    order = f.order
-    if order is not None:
-        # substitutions of order >= 1 map degree-N tails into order >= N
-        so = min(x for x in (sub_u.low_order() or 1, sub_v.low_order() or 1))
-        if so < 1:
-            so = 1
-        order = _min_order(order * so, _min_order(sub_u.order, sub_v.order))
-
-    # sum of c * sub_u^i * sub_v^j, each power built once
-    out = TruncSeries2({}, order)
-    upow = powers(sub_u, TruncSeries2.const(1))
-    vpow = powers(sub_v, TruncSeries2.const(1))
-    for (i, j), c in f.coeffs.items():
-        out = out + (upow(i) * vpow(j)).scale(c)
-    if order is not None:
-        out = out.truncate(order)
-    return out
 
 
 # ---------------------------------------------------------------------------

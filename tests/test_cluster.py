@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import branch_to_nodes
+from randgen import random_path_batches
 from valinf.cluster import (MAX_CHAIN_STEPS, Cluster, Free, LINF, Node,
-                            PointAtInfinity, SatU, SatV, branch_steps,
+                            PathTrie, PointAtInfinity, SatU, SatV,
+                            branch_steps, build_geometry,
                             chain_cluster, eval_divisorial, merge_paths,
                             monomial_to_node, ord_along_path,
                             segment_point_key)
@@ -209,6 +211,38 @@ def test_memoized_ord_along_path_matches_fresh_cluster(seed, ps):
         assert ord_along_path(cl, k, P) == \
             ord_along_path(Cluster(cl.nodes), k, P)
         assert len(cl._strict) <= Cluster.STRICT_MEMO_POLYS
+
+
+X = {(1, 0): F(1)}
+Y = {(0, 1): F(1)}
+
+
+def assert_rows_match_strict_transforms(cl):
+    # build_geometry reads ord_x and ord_y off the strict transforms of x
+    # and y in its rows; ord_along_path propagates x and y themselves
+    g = build_geometry(cl)
+    for i in range(len(cl)):
+        assert g.ord_x[i] == ord_along_path(cl, i, X)[i]
+        assert g.ord_y[i] == ord_along_path(cl, i, Y)[i]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2))
+def test_geometry_rows_match_ord_along_path(seed, n_roots):
+    cl = random_cluster(random.Random(seed), max_nodes=14, n_roots=n_roots)
+    assert_rows_match_strict_transforms(cl)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_shared_geometry_rows_match_ord_along_path(seed):
+    # the clusters of one trie extend one list of rows round by round
+    rng = random.Random(seed)
+    trie = PathTrie()
+    for batch in random_path_batches(rng, rng.randint(1, 5)):
+        cl, _ = trie.add(batch)
+        assert cl._rows is trie._rows
+        assert_rows_match_strict_transforms(cl)
 
 
 def test_strict_memo_evicts_the_oldest_polynomial(monkeypatch):

@@ -44,8 +44,8 @@ def test_errors_imports_no_valinf_module():
 
 
 def test_three_families():
-    undecided = (errors.InsufficientTruncation, errors.TruncationUnderflow,
-                 errors.Undecidable, errors.PrecisionExceeded)
+    undecided = (errors.InsufficientTruncation, errors.Undecidable,
+                 errors.PrecisionExceeded)
     for cls in undecided:
         assert issubclass(cls, errors.Undecided)
         assert not issubclass(cls, errors.DomainError)

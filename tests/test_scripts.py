@@ -114,3 +114,34 @@ def test_import_cost_prints_one_json_line_per_command():
     for r in rows:
         assert (r["exit"], r["sympy"]) == (0, False)
         assert r["seconds"] > 0 and r["maxrss_mb"] > 0
+
+
+def test_cap_sweep_prints_one_json_line_per_cap():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/cap_sweep.py", "--m", "20", "--k-m", "5",
+         "--k", "40", "--degree", "3", "--power-degree", "8",
+         "--power-bits", "512", "--chain", "16", "--segment-depth", "16",
+         "--oracle-count", "5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(r["cap"], r["value"], r["size"]) for r in rows] == [
+        ("MAX_CURVE_M", 10_000, 20), ("MAX_CURVE_K", 1_600, 40),
+        ("MAX_DEGREE", 24, 3), ("MAX_POWER_DEGREE", 64, 8),
+        ("MAX_POWER_BITS", 1 << 16, 512), ("MAX_CHAIN_STEPS", 1024, 16),
+        ("MAX_SEGMENT_DEPTH", 1024, 16), ("MAX_ORACLE_COUNT", 10_000, 5)]
+    outcomes = {(r["cap"], name): i["outcome"]
+                for r in rows for name, i in r["inputs"].items()}
+    # every input below its cap is answered; no witness exists at D = 3
+    assert outcomes == {
+        ("MAX_CURVE_M", "meet"): "Divisorial",
+        ("MAX_CURVE_K", "meet"): "Divisorial",
+        ("MAX_CURVE_K", "eval"): "Ext",
+        ("MAX_DEGREE", "find_positive"): "NoneType",
+        ("MAX_POWER_DEGREE", "parse"): "dict",
+        ("MAX_POWER_BITS", "parse"): "dict",
+        ("MAX_CHAIN_STEPS", "monomial_geometry"): "GeometryTable",
+        ("MAX_SEGMENT_DEPTH", "walk"): "list",
+        ("MAX_ORACLE_COUNT", "oracle_check"): "tuple"}
+    assert all(i["seconds"] >= 0 for r in rows for i in r["inputs"].values())
