@@ -18,6 +18,9 @@ An outcome is the type of the answer, or of the ``DomainError`` or
 - ``MAX_POWER_DEGREE``: parsing (x+y+1)^e (``--power-degree``).
 - ``MAX_POWER_BITS``: parsing (N*x+N*y+N)^e, e = ``--power-degree``,
   with N = 2^k as large as the bit bound (``--power-bits``) allows.
+- ``MAX_POWER_WORK``: parsing (x+y+1)^e with e as large, and
+  (N*x+N*y+N)^32 with N = 2^k as large, as the work bound
+  (``--power-work``, see ``poly._power_work``) and the bit bound allow.
 - ``MAX_CHAIN_STEPS``: the monomial valuation v_{-1,t}, whose weight
   chain takes t blowups, and its cluster geometry (``--chain``).
 - ``MAX_SEGMENT_DEPTH``: the branch-center walk of
@@ -26,7 +29,8 @@ An outcome is the type of the answer, or of the ``DomainError`` or
   (``--oracle-count``).
 
 Usage: python3 scripts/cap_sweep.py [--m M] [--k-m M] [--k K]
-    [--degree D] [--power-degree E] [--power-bits B] [--chain T]
+    [--degree D] [--power-degree E] [--power-bits B] [--power-work W]
+    [--chain T]
     [--segment-depth D] [--oracle-count N]
 (run from the root of a checkout with ``src`` on PYTHONPATH)
 """
@@ -95,6 +99,22 @@ def power_bits(bits, e):
     return {"parse": timed(poly.parse, f"({N}*x+{N}*y+{N})^{e}")}
 
 
+def power_work(work):
+    # the largest e, and the largest k, whose power the bounds admit
+    e = max((e for e in range(1, poly.MAX_POWER_DEGREE + 1)
+             if poly._power_work(poly.parse("x+y+1"), e) <= work), default=0)
+
+    def admitted(k):
+        P = {m: 2 ** k for m in ((1, 0), (0, 1), (0, 0))}
+        return poly._power_work(P, 32) <= work and \
+            poly._power_bits(P, 32) <= poly.MAX_POWER_BITS
+
+    N = 2 ** max((k for k in range(poly.MAX_POWER_BITS // 32)
+                  if admitted(k)), default=0)
+    return {"trinomial": timed(poly.parse, f"(x+y+1)^{e}"),
+            "wide": timed(poly.parse, f"({N}*x+{N}*y+{N})^32")}
+
+
 def chain(t):
     def build():
         cl, _ = monomial_to_node(Fraction(-1), Fraction(t))
@@ -119,6 +139,7 @@ def main():
     ap.add_argument("--degree", type=int, default=polyfinder.MAX_DEGREE)
     ap.add_argument("--power-degree", type=int, default=poly.MAX_POWER_DEGREE)
     ap.add_argument("--power-bits", type=int, default=poly.MAX_POWER_BITS)
+    ap.add_argument("--power-work", type=int, default=poly.MAX_POWER_WORK)
     ap.add_argument("--chain", type=int, default=MAX_CHAIN_STEPS)
     ap.add_argument("--segment-depth", type=int,
                     default=puiseux.MAX_SEGMENT_DEPTH)
@@ -134,6 +155,8 @@ def main():
          lambda: power_degree(args.power_degree)),
         ("MAX_POWER_BITS", poly.MAX_POWER_BITS, args.power_bits,
          lambda: power_bits(args.power_bits, args.power_degree)),
+        ("MAX_POWER_WORK", poly.MAX_POWER_WORK, args.power_work,
+         lambda: power_work(args.power_work)),
         ("MAX_CHAIN_STEPS", MAX_CHAIN_STEPS, args.chain,
          lambda: chain(args.chain)),
         ("MAX_SEGMENT_DEPTH", puiseux.MAX_SEGMENT_DEPTH, args.segment_depth,

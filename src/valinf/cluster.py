@@ -557,7 +557,7 @@ def _strict_memo(cl: Cluster, P: dict):
     if memo is None:
         if len(cl._strict) >= Cluster.STRICT_MEMO_POLYS:
             del cl._strict[next(iter(cl._strict))]
-        memo = cl._strict[key] = {LINF: (None, None, -poly.degree(P))}
+        memo = cl._strict[key] = {LINF: (None, None, -max(map(sum, P)))}
     return P, memo
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import PolynomialSyntaxError, ZeroPolynomial
 from .exact import _q
@@ -105,6 +105,9 @@ MAX_POWER_DEGREE = 64
 # ... or when its coefficients may exceed this many bits: nested powers
 # grow as 64^k, and (((9^64)^64)^64)^64 has 53 million bits
 MAX_POWER_BITS = 1 << 16
+# ... or when expanding it may cost more than this (``_power_work``): on 2
+# vCPUs (x+y+1)^64 took 2.6 s, and (N*x+N*y+N)^64 with N = 2^1022 77 s
+MAX_POWER_WORK = 1 << 26
 
 
 def _power_bits(P: dict, e: int) -> int:
@@ -114,6 +117,17 @@ def _power_bits(P: dict, e: int) -> int:
     D = lcm(*(c.denominator for c in P.values()))
     N = sum(abs(c.numerator) * (D // c.denominator) for c in P.values())
     return e * max(N.bit_length(), D.bit_length())
+
+
+def _power_work(P: dict, e: int) -> int:
+    """terms^2 * bits of the last product of the repeated squaring of P^e:
+    two powers P^h, h <= ceil(e/2), of at most T terms (products of h
+    terms of P, or monomials of degree h deg P) and ``_power_bits(P, h)``
+    bits, 1,024 at least, as a Fraction product costs about that much."""
+    h = (e + 1) // 2
+    d = h * max((i + j for i, j in P), default=0)
+    T = min(comb(h + len(P), h), (d + 1) * (d + 2) // 2)
+    return T * T * max(_power_bits(P, h), 1024)
 
 
 def _integer(tok: str) -> int:
@@ -133,10 +147,10 @@ def parse(text: str) -> dict:
         factor := ("+" | "-") factor | atom [("^" | "**") integer]
         atom   := integer | "x" | "y" | "(" expr ")"
 
-    A divisor must be a nonzero constant, and in P^e the exponent times
-    max(deg P, 1) is at most ``MAX_POWER_DEGREE`` and the coefficients of
-    P^e are bounded by ``MAX_POWER_BITS`` bits.  Any other text raises
-    PolynomialSyntaxError; nothing in it is evaluated as code.
+    A divisor must be a nonzero constant, and P^e obeys the caps
+    ``MAX_POWER_DEGREE`` on e max(deg P, 1), ``MAX_POWER_BITS`` on its
+    coefficients and ``MAX_POWER_WORK`` on its expansion.  Any other text
+    raises PolynomialSyntaxError; nothing in it is evaluated as code.
     """
     if not isinstance(text, str):
         raise PolynomialSyntaxError(f"a polynomial must be a string, "
@@ -197,6 +211,10 @@ def parse(text: str) -> dict:
         if _power_bits(base, e) > MAX_POWER_BITS:
             raise PolynomialSyntaxError(
                 f"power with coefficients above {MAX_POWER_BITS} bits "
+                f"(exponent {e})")
+        if _power_work(base, e) > MAX_POWER_WORK:
+            raise PolynomialSyntaxError(
+                f"power of {len(base)} terms too costly to expand "
                 f"(exponent {e})")
         return power(base, e)
 

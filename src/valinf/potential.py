@@ -16,7 +16,8 @@ from fractions import Fraction
 from .errors import (IndeterminateForm, InternalMismatch, PreconditionViolated,
                      SkewnessTooHigh)
 from .exact import Ext, NEG_INF, _q, ext_sum
-from .valuations import ROOT, Root, Valuation, equal, meet, skewness
+from .valuations import ROOT, Hull, Root, Valuation, equal, meet, skewness
+from .valuations import _base as base_point
 
 
 # ---------------------------------------------------------------------------
@@ -182,69 +183,67 @@ class FiniteTree:
         return None
 
 
+class _Points:
+    """Tree points p_i: anchors v_i, or points of skewness a_i on [root, v_i].
+    With G_ij = alpha(v_i ^ v_j), p_i ^ p_j is the point of skewness
+    max(a_i, a_j, G_ij) on [root, v_i] (``green``); p_i lies on [root, p_j]
+    when a_i >= max(a_j, G_ij).  G_ij = 1 at the root and across points of
+    L-infinity, so one ``Hull`` holds the anchors that share theirs (with
+    v_0 for a ``star``), and none is built if none do."""
+
+    def __init__(self, points, star=False):
+        self.points = points = tuple(points)
+        vs = [p.below if isinstance(p, EdgePoint) else p for p in points]
+        bases = [None if isinstance(v, Root) else base_point(v) for v in vs]
+        at = self.index = {i: x for x, i in enumerate(
+            i for i, b in enumerate(bases) if b is not None
+            and bases.count(b) > 1 and (b == bases[0] or not star))}
+        self.hull = Hull([vs[i] for i in at]) if at else None
+        rows, n = self.hull.matrix() if at else [], len(vs)
+        self.G = [[rows[at[i]][at[j]] if i in at and j in at
+                   else skewness(vs[i]) if i == j else Ext(1)
+                   for j in range(n)] for i in range(n)]
+        self.a = [Ext(p.alpha) if isinstance(p, EdgePoint) else self.G[i][i]
+                  for i, p in enumerate(points)]
+
+    def green(self, i, j) -> Ext:
+        return max(self.a[i], self.a[j], self.G[i][j])
+
+
 def build_tree(points) -> FiniteTree:
-    """Convex hull of {root} and the given tree points."""
-    verts = [ROOT]
-    parent = [None]
+    """Convex hull of {root} and the given tree points (``_Points``): its
+    vertices are the points and the meets of their anchors above both,
+    and the parent of each is the deepest vertex above it."""
+    t = _Points((ROOT,) + tuple(points))
+    a, G, verts, at = t.a, t.G, [], {}  # (anchor, skewness, point); by s
 
-    def locate(p):
-        for i, x in enumerate(verts):
-            if point_equal(x, p):
-                return i
-        return None
+    def add(k, s, point):
+        if all(s < G[k][verts[x][0]] for x in at.setdefault(s, [])):
+            at[s].append(len(verts))
+            verts.append((k, s, point()))
 
-    def splice(leaf, m):
-        # insert m, known to lie on [root, verts[leaf]], along that path
-        am = point_skewness(m)
-        path = [leaf]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        for k, i in enumerate(path):
-            if point_skewness(verts[i]) == am:
-                return i
-            if point_skewness(verts[i]) < am:
-                verts.append(m)
-                parent.append(path[k - 1])
-                parent[i] = len(verts) - 1
-                return len(verts) - 1
-        raise InternalMismatch("splice point below its own anchor path")
-
-    def insert(p):
-        i = locate(p)
-        if i is not None:
-            return i
-        best, leaf = ROOT, 0
-        for i, x in enumerate(verts):
-            m = point_meet(p, x)
-            if point_skewness(m) < point_skewness(best):
-                best, leaf = m, i
-        if point_equal(best, p):
-            return splice(leaf, p)
-        anchor = locate(best)
-        if anchor is None:
-            anchor = splice(leaf, best)
-        verts.append(p)
-        parent.append(anchor)
-        return len(verts) - 1
-
-    for p in points:
-        insert(p)
-    return FiniteTree(parent=tuple(parent),
-                      alpha=tuple(point_skewness(x) for x in verts),
-                      points=tuple(verts))
+    for i, p in enumerate(t.points):
+        add(i, a[i], lambda: p)
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            if G[i][j] > max(a[i], a[j]):
+                add(i, G[i][j], lambda: t.hull.meet(t.index[i], t.index[j]))
+    parent = [None] + [min(
+        (x for x, (l, r, _) in enumerate(verts) if r > s and r >= G[k][l]),
+        key=lambda x: verts[x][1]) for k, s, _ in verts[1:]]
+    _, alpha, found = zip(*verts)
+    return FiniteTree(tuple(parent), alpha, found)
 
 
 def retract(p, tree: FiniteTree):
-    """Nearest point of the tree on the segment [root, p]."""
-    best = ROOT
-    for x in tree.points:
-        if x is None:
-            raise ValueError("retraction needs realized tree points")
-        m = point_meet(p, x)
-        if point_skewness(m) < point_skewness(best):
-            best = m
-    i = tree.find(best)
+    """Nearest point of the tree on [root, p]: the deepest meet of p with
+    a leaf (``_Points``), the vertex of its skewness on the leaf's path."""
+    if any(x is None for x in tree.points):
+        raise ValueError("retraction needs realized tree points")
+    leaves = [i for i in range(len(tree)) if i not in tree.parent]
+    pts = _Points([p] + [tree.points[i] for i in leaves])
+    g, leaf = min((pts.green(0, k), i) for k, i in enumerate(leaves, 1))
+    i = next((i for i in tree.root_path(leaf) if tree.alpha[i] == g), None)
     if i is None:
         raise InternalMismatch("retraction landed outside the tree")
     return tree.points[i]
@@ -295,12 +294,15 @@ def dirac(p, mass=1) -> DiscreteMeasure:
 
 def value(rho: DiscreteMeasure, w) -> Ext:
     """Sum of mass * alpha(atom ^ w); the function represented by rho."""
-    return ext_sum(Ext(m) * point_green(p, w) for p, m in rho.atoms)
+    pts = _Points([w] + [p for p, _ in rho.atoms], star=True)
+    return ext_sum(Ext(m) * pts.green(0, k)
+                   for k, (_, m) in enumerate(rho.atoms, 1))
 
 
 def dirichlet(rho: DiscreteMeasure, sigma: DiscreteMeasure) -> Ext:
-    terms = [Ext(mp) * Ext(mq) * point_green(p, q)
-             for p, mp in rho.atoms for q, mq in sigma.atoms]
+    pts, n = _Points([p for p, _ in rho.atoms + sigma.atoms]), len(rho.atoms)
+    terms = [Ext(rho.atoms[i][1] * m) * pts.green(i, j) for i in range(n)
+             for j, (_, m) in enumerate(sigma.atoms, n)]
     if all(t.kind == 0 for t in terms):
         return ext_sum(terms)
     if rho.is_positive() and sigma.is_positive():

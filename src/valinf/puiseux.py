@@ -19,10 +19,10 @@ from .cluster import (BranchWalk, Free, PathTrie, PointAtInfinity,
 from .errors import (InsufficientTruncation, InternalMismatch,
                      NeedsFieldExtension, PreconditionViolated,
                      PrecisionExceeded, ZeroOrConstant)
-from .exact import Ext, _q, ext_sum, rational_root
-from .potential import DiscreteMeasure, measure, point_green
+from .exact import Ext, _q, rational_root
+from .potential import DiscreteMeasure, _Points, measure, value
 from .series import PuiseuxSeries
-from .valuations import Curve, Divisorial, Hull
+from .valuations import Curve, Divisorial
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +263,8 @@ def log_laplacian(Q: dict, K=None) -> DiscreteMeasure:
 def log_value(Q: dict, v, K=None) -> Ext:
     """Green-function side of the chart identity: sum of weight *
     skewness(meet with each branch); equals minus the valuation of Q."""
-    return ext_sum(Ext(e * b.multiplicity) * point_green(Curve(b), v)
-                   for b, e in weighted_branches(Q, K))
+    return value(DiscreteMeasure(tuple((Curve(b), e * b.multiplicity) for b, e
+                                       in weighted_branches(Q, K))), v)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +364,12 @@ def logplus_laplacian(Q: dict, K=None) -> DiscreteMeasure:
     The left side is increasing and piecewise linear in a, and positive
     at a = 1, so a* < 1; the atom is ``divisorial_on_segment(b_i, a*)``.
 
-    Cost: one ``Hull`` of the branches (each branch that shares its point
-    of L-infinity walked once, to its divergences, and one geometry) and
-    one ``divisorial_on_segment`` per branch; Q is never transformed.
+    Cost: one ``Hull`` of the branches that share their point of
+    L-infinity (``potential._Points``), each walked to its divergences,
+    and one ``divisorial_on_segment`` per branch; Q is never transformed.
     """
     pairs = [(b, e * b.multiplicity) for b, e in weighted_branches(Q, K)]
-    t = Hull([Curve(b) for b, _ in pairs]).matrix()  # alpha(b_i ^ b_j)
+    t = _Points([Curve(b) for b, _ in pairs]).G     # alpha(b_i ^ b_j)
     return measure((divisorial_on_segment(b, _crossing(
         w, [(wj, t[i][j].q) for j, (_, wj) in enumerate(pairs) if j != i])),
         w) for i, (b, w) in enumerate(pairs))

@@ -155,15 +155,16 @@ def curve_evaluate(branch: PuiseuxBranch, P: dict) -> Ext:
 
 
 def evaluate(v: Valuation, P: dict) -> Ext:
-    P = poly.require_nonzero(P)
-    if isinstance(v, Root):
-        return Ext(-poly.degree(P))
-    if isinstance(v, Monomial):
-        return ext_min(Ext(v.s * i + v.t * j) for (i, j) in P)
+    # P is normalized once: here, or by the evaluation it is handed to
     if isinstance(v, Divisorial):
         return Ext(eval_divisorial(v.cluster, v.node, P))
     if isinstance(v, Curve):
         return curve_evaluate(v.branch, P)
+    P = poly.require_nonzero(P)
+    if isinstance(v, Root):
+        return Ext(-max(map(sum, P)))
+    if isinstance(v, Monomial):
+        return ext_min(Ext(v.s * i + v.t * j) for (i, j) in P)
     raise TypeError(f"not a valuation: {v!r}")
 
 

@@ -9,12 +9,14 @@ from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
                             PointAtInfinity, PuiseuxBranch, SatU, SatV,
                             branch_steps, chain_cluster, eval_divisorial,
                             merge_paths)
-from valinf.errors import (InsufficientTruncation, InternalMismatch,
-                           InvalidCluster, NeedsFieldExtension,
-                           PreconditionViolated)
-from valinf.exact import (POS_INF, Ext, LinSolveResult, SymMatrixExt, _q,
-                          sign_at_neg_infinity)
-from valinf.potential import EdgePoint, measure
+from valinf.errors import (IndeterminateForm, InsufficientTruncation,
+                           InternalMismatch, InvalidCluster,
+                           NeedsFieldExtension, PreconditionViolated)
+from valinf.exact import (NEG_INF, POS_INF, Ext, LinSolveResult, SymMatrixExt,
+                          _q, ext_sum, sign_at_neg_infinity)
+from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree, measure,
+                              point_equal, point_green, point_meet,
+                              point_skewness)
 from valinf.puiseux import weighted_branches
 from valinf.series import LaurentSeries, PuiseuxSeries
 from valinf.valuations import (ROOT, Comparison, Curve, Divisorial, Root,
@@ -723,3 +725,102 @@ def minpoly_divides_by_sympy(minpoly: tuple, P: dict) -> bool:
     g = to_sympy(P)
     _, rem = sympy.div(g, f, x, y, domain="QQ")
     return sympy.expand(rem) == 0
+
+
+# ---------------------------------------------------------------------------
+# potential theory by pairwise meets
+# ---------------------------------------------------------------------------
+
+
+def build_tree_by_meets(points) -> FiniteTree:
+    """``potential.build_tree`` by the pairwise routine that the hull
+    replaced: each point is located by ``point_equal`` and spliced in by
+    ``point_meet`` with every vertex so far."""
+    verts = [ROOT]
+    parent = [None]
+
+    def locate(p):
+        for i, x in enumerate(verts):
+            if point_equal(x, p):
+                return i
+        return None
+
+    def splice(leaf, m):
+        # insert m, known to lie on [root, verts[leaf]], along that path
+        am = point_skewness(m)
+        path = [leaf]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        path.reverse()
+        for k, i in enumerate(path):
+            if point_skewness(verts[i]) == am:
+                return i
+            if point_skewness(verts[i]) < am:
+                verts.append(m)
+                parent.append(path[k - 1])
+                parent[i] = len(verts) - 1
+                return len(verts) - 1
+        raise InternalMismatch("splice point below its own anchor path")
+
+    def insert(p):
+        i = locate(p)
+        if i is not None:
+            return i
+        best, leaf = ROOT, 0
+        for i, x in enumerate(verts):
+            m = point_meet(p, x)
+            if point_skewness(m) < point_skewness(best):
+                best, leaf = m, i
+        if point_equal(best, p):
+            return splice(leaf, p)
+        anchor = locate(best)
+        if anchor is None:
+            anchor = splice(leaf, best)
+        verts.append(p)
+        parent.append(anchor)
+        return len(verts) - 1
+
+    for p in points:
+        insert(p)
+    return FiniteTree(parent=tuple(parent),
+                      alpha=tuple(point_skewness(x) for x in verts),
+                      points=tuple(verts))
+
+
+def retract_by_meets(p, tree: FiniteTree):
+    """``potential.retract`` by one ``point_meet`` per tree point."""
+    best = ROOT
+    for x in tree.points:
+        if x is None:
+            raise ValueError("retraction needs realized tree points")
+        m = point_meet(p, x)
+        if point_skewness(m) < point_skewness(best):
+            best = m
+    i = tree.find(best)
+    if i is None:
+        raise InternalMismatch("retraction landed outside the tree")
+    return tree.points[i]
+
+
+def value_by_meets(rho: DiscreteMeasure, w) -> Ext:
+    """``potential.value`` by one ``point_green`` per atom."""
+    return ext_sum(Ext(m) * point_green(p, w) for p, m in rho.atoms)
+
+
+def dirichlet_by_meets(rho: DiscreteMeasure, sigma: DiscreteMeasure) -> Ext:
+    """``potential.dirichlet`` by one ``point_green`` per atom pair."""
+    terms = [Ext(mp) * Ext(mq) * point_green(p, q)
+             for p, mp in rho.atoms for q, mq in sigma.atoms]
+    if all(t.kind == 0 for t in terms):
+        return ext_sum(terms)
+    if rho.is_positive() and sigma.is_positive():
+        # endpoint self-pairings of a positive measure: -inf is allowed
+        return NEG_INF
+    raise IndeterminateForm(
+        "signed pairing with an endpoint atom is not square-integrable")
+
+
+def log_value_by_meets(Q: dict, v, K=None) -> Ext:
+    """``puiseux.log_value`` by one ``point_green`` per branch."""
+    return ext_sum(Ext(e * b.multiplicity) * point_green(Curve(b), v)
+                   for b, e in weighted_branches(Q, K))

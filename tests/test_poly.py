@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import valinf
+import valinf.cli
 from oracles import factor_rational_by_sympy, to_sympy
 from valinf import poly
 from valinf.errors import DomainError, PolynomialSyntaxError
@@ -138,6 +139,33 @@ def test_power_bits_cap():
     with pytest.raises(PolynomialSyntaxError, match="bits"):
         poly.parse("(((9^64)^64)^64)^64")
     assert time.perf_counter() - start < 0.5
+
+
+# within the degree and bit caps, but on 2 vCPUs these took 77 s and
+# 2.6 s to expand before the work cap
+COSTLY_POWERS = [f"({2 ** 1022}*x+{2 ** 1022}*y+{2 ** 1022})^64",
+                 "(x+y+1)^64"]
+
+
+@pytest.mark.parametrize("text", COSTLY_POWERS, ids=["wide", "trinomial"])
+def test_power_work_cap(text, tmp_path):
+    start = time.perf_counter()
+    with pytest.raises(PolynomialSyntaxError, match="too costly"):
+        poly.parse(text)
+    assert time.perf_counter() - start < 0.5
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({"format": 1, "polynomials": {"Q": text},
+                                "valuations": {}}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert valinf.cli.main(["log-laplacian", "-f", str(path), "Q"]) == 2
+    assert err.getvalue().startswith("error: ")
+
+
+def test_power_work_cap_admits_its_largest_trinomial_power():
+    assert len(poly.parse("(x+y+1)^42")) == 946
+    with pytest.raises(PolynomialSyntaxError, match="too costly"):
+        poly.parse("(x+y+1)^43")
 
 
 # x^4+1 and y^4-10*y^2+1 are irreducible over Q but split modulo every

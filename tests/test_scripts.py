@@ -102,6 +102,20 @@ def test_set_scale_reads_the_matrix_off_one_geometry():
                 "chi_det_s"))
 
 
+def test_tree_scale_reads_each_form_off_one_hull():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/tree_scale.py", "4", "8"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [r["n"] for r in rows] == [4, 8]
+    # one hull each and no pairwise meet
+    assert all((r[f]["hulls"], r[f]["meets"]) == (1, 0) and
+               r[f]["seconds"] >= 0
+               for r in rows for f in ("build_tree", "value", "dirichlet"))
+
+
 def test_import_cost_prints_one_json_line_per_command():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
@@ -121,7 +135,8 @@ def test_cap_sweep_prints_one_json_line_per_cap():
     done = subprocess.run(
         [sys.executable, "scripts/cap_sweep.py", "--m", "20", "--k-m", "5",
          "--k", "40", "--degree", "3", "--power-degree", "8",
-         "--power-bits", "512", "--chain", "16", "--segment-depth", "16",
+         "--power-bits", "512", "--power-work", "1000000", "--chain", "16",
+         "--segment-depth", "16",
          "--oracle-count", "5"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -129,7 +144,8 @@ def test_cap_sweep_prints_one_json_line_per_cap():
     assert [(r["cap"], r["value"], r["size"]) for r in rows] == [
         ("MAX_CURVE_M", 10_000, 20), ("MAX_CURVE_K", 1_600, 40),
         ("MAX_DEGREE", 24, 3), ("MAX_POWER_DEGREE", 64, 8),
-        ("MAX_POWER_BITS", 1 << 16, 512), ("MAX_CHAIN_STEPS", 1024, 16),
+        ("MAX_POWER_BITS", 1 << 16, 512), ("MAX_POWER_WORK", 1 << 26, 10 ** 6),
+        ("MAX_CHAIN_STEPS", 1024, 16),
         ("MAX_SEGMENT_DEPTH", 1024, 16), ("MAX_ORACLE_COUNT", 10_000, 5)]
     outcomes = {(r["cap"], name): i["outcome"]
                 for r in rows for name, i in r["inputs"].items()}
@@ -141,6 +157,8 @@ def test_cap_sweep_prints_one_json_line_per_cap():
         ("MAX_DEGREE", "find_positive"): "NoneType",
         ("MAX_POWER_DEGREE", "parse"): "dict",
         ("MAX_POWER_BITS", "parse"): "dict",
+        ("MAX_POWER_WORK", "trinomial"): "dict",
+        ("MAX_POWER_WORK", "wide"): "dict",
         ("MAX_CHAIN_STEPS", "monomial_geometry"): "GeometryTable",
         ("MAX_SEGMENT_DEPTH", "walk"): "list",
         ("MAX_ORACLE_COUNT", "oracle_check"): "tuple"}
