@@ -121,9 +121,8 @@ def _power_bits(P: dict, e: int) -> int:
 
 def _power_work(P: dict, e: int) -> int:
     """terms^2 * bits of the last product of the repeated squaring of P^e:
-    two powers P^h, h <= ceil(e/2), of at most T terms (products of h
-    terms of P, or monomials of degree h deg P) and ``_power_bits(P, h)``
-    bits, 1,024 at least, as a Fraction product costs about that much."""
+    two powers P^h, h <= ceil(e/2), of at most T terms and
+    ``_power_bits(P, h)`` bits, 1,024 at least (a Fraction product)."""
     h = (e + 1) // 2
     d = h * max((i + j for i, j in P), default=0)
     T = min(comb(h + len(P), h), (d + 1) * (d + 2) // 2)

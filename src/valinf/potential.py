@@ -64,48 +64,27 @@ def point_skewness(p) -> Ext:
 
 
 def point_meet(p, q):
-    """Meet of two tree points; p, q, or a valuation on the trunk."""
-    v, a = _split(p)
-    w, b = _split(q)
-    if isinstance(v, Root):
-        return p
-    if isinstance(w, Root):
-        return q
-    m = meet(v, w)
+    """Meet of two tree points.  Its skewness is the largest of theirs and
+    that of the meet m of their anchors: p or q where that one lies on
+    the other's root segment, and m otherwise."""
+    (v, a), (w, b) = _split(p), _split(q)
+    m = ROOT if isinstance(v, Root) or isinstance(w, Root) else meet(v, w)
     g = skewness(m)
-    if a >= g and b >= g:
-        # both on the common trunk [root, v^w]; the shallower is the meet
-        return p if a >= b else q
-    if a >= g:
-        return p
-    if b >= g:
-        return q
-    return m
+    return p if a >= max(b, g) else q if b >= g else m
 
 
 def point_leq(p, q) -> bool:
-    v, a = _split(p)
-    w, b = _split(q)
-    if isinstance(v, Root):
-        return True
-    if isinstance(w, Root):
-        return False
-    g = skewness(meet(v, w))
-    return a >= g and a >= b
+    return point_skewness(p) >= point_green(p, q)
 
 
 def point_equal(p, q) -> bool:
     if p is q:
         return True
-    v, a = _split(p)
-    w, b = _split(q)
+    (v, a), (w, b) = _split(p), _split(q)
     if a != b:
         return False
-    if isinstance(v, Root) or isinstance(w, Root):
-        return isinstance(v, Root) and isinstance(w, Root)
-    if a == NEG_INF:
-        return equal(v, w)
-    return a >= skewness(meet(v, w))
+    # curves are compared without a meet; else p = q when p <= q
+    return equal(v, w) if a == NEG_INF else point_leq(p, q)
 
 
 def shift_up(p, eps: Fraction):
