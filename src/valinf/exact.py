@@ -1,10 +1,11 @@
 """Exact scalar types and linear algebra.
 
 Everything downstream runs on `fractions.Fraction`.  This module adds the
-two-point extension of the rationals (``Ext``), polynomials in one formal
-parameter read at the limit u -> -infinity (``TPoly``), symmetric matrices
-whose entries may be -infinity, and one fraction-free elimination over
-Z (``_bareiss``) behind linear solves, kernels, determinants and inverses.
+two-point extension of the rationals (``Ext``), symmetric matrices whose
+entries may be -infinity with the limit of their determinant as those
+entries go to -infinity (``chi_det``), and one fraction-free elimination
+over Z (``_bareiss``) behind linear solves, kernels, determinants and
+inverses.
 """
 
 from __future__ import annotations
@@ -177,17 +178,6 @@ POS_INF = Ext(_kind=1)
 NEG_INF = Ext(_kind=-1)
 
 
-def ext_min(values: Iterable[Ext]) -> Ext:
-    values = list(values)
-    if not values:
-        raise ValueError("empty min")
-    out = values[0]
-    for v in values[1:]:
-        if v < out:
-            out = v
-    return out
-
-
 def ext_sum(terms: Iterable[Ext]) -> Ext:
     """Sum with indeterminate-form detection independent of ordering."""
     finite = Fraction(0)
@@ -206,110 +196,6 @@ def ext_sum(terms: Iterable[Ext]) -> Ext:
     if neg:
         return NEG_INF
     return Ext(finite)
-
-
-# ---------------------------------------------------------------------------
-# polynomials in the limit parameter u
-# ---------------------------------------------------------------------------
-
-
-class TPoly:
-    """Polynomial over Q in one formal parameter u, read as u -> -inf."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction] = ()):
-        cs = [_q(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c) -> "TPoly":
-        return TPoly([c])
-
-    @staticmethod
-    def param() -> "TPoly":
-        return TPoly([0, 1])
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention here
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return TPoly(out)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        if self.is_zero() or other.is_zero():
-            return TPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TPoly(out)
-
-    def scale(self, c) -> "TPoly":
-        c = _q(c)
-        return TPoly([c * a for a in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, TPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"{c}*u^{i}" if i else str(c))
-        return " + ".join(parts)
-
-
-def sign_at_neg_infinity(p: TPoly):
-    """Sign and magnitude of lim_{u -> -inf} p(u).
-
-    Returns (sign, magnitude) with sign in {-1, 0, +1} and magnitude in
-    {"finite", "infinite"}.
-    """
-    if p.is_zero():
-        return 0, "finite"
-    d = p.degree
-    lead = p.coeffs[-1]
-    if d == 0:
-        return (1 if lead > 0 else -1), "finite"
-    sign = (1 if lead > 0 else -1) * (1 if d % 2 == 0 else -1)
-    return sign, "infinite"
-
-
-def limit_at_neg_infinity(p: TPoly) -> Ext:
-    if p.is_zero():
-        return Ext(0)
-    if p.degree == 0:
-        return Ext(p.coeffs[0])
-    sign, _ = sign_at_neg_infinity(p)
-    return POS_INF if sign > 0 else NEG_INF
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +221,30 @@ class SymMatrixExt:
         self.entries = rows
         self.size = n
 
-    def det_tpoly(self, k: int | None = None) -> TPoly:
-        """det of the leading k x k block with u in place of every -inf.
-
-        Its degree in u is at most r, the number of rows that hold a -inf
-        entry, so the values at u = 0..r fix it: p(u) is the sum of the
-        forward differences Delta^j p(0) times binomial(u, j).
-        """
-        k = self.size if k is None else k
-        block = [row[:k] for row in self.entries[:k]]
-        r = sum(1 for row in block if any(e.kind < 0 for e in row))
-        diffs = [det([[u if e.kind < 0 else e.q for e in row]
-                      for row in block]) for u in range(r + 1)]
-        out, binom = TPoly(), TPoly.const(1)
-        for j in range(r + 1):
-            out = out + binom.scale(diffs[0])
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-            binom = (binom * TPoly([-j, 1])).scale(Fraction(1, j + 1))
-        return out
-
 
 def chi_det(M: SymMatrixExt) -> Ext:
-    """(-1)^l det(M) in the limit where every -inf entry goes to -infinity."""
-    p = M.det_tpoly()
+    """(-1)^n det(M) in the limit where every -inf entry goes to -infinity.
+
+    With u in place of every -inf entry, det is a polynomial p(u) of
+    degree at most r, the number of rows that hold a -inf.  Its Newton
+    form p(u) = sum_{j <= r} Delta^j p(0) binomial(u, j) gives p's degree
+    k, the last j with Delta^j p(0) != 0, and the sign of its leading
+    coefficient, that of Delta^k p(0).  So the limit of p is p(0) when
+    k = 0 and sign(Delta^k p(0)) (-1)^k infinity otherwise.
+    """
+    r = sum(1 for row in M.entries if any(e.kind < 0 for e in row))
+    diffs = [det([[u if e.kind < 0 else e.q for e in row]
+                  for row in M.entries]) for u in range(r + 1)]
+    lead, k = diffs[0], 0
+    for j in range(1, r + 1):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        if diffs[0]:
+            lead, k = diffs[0], j
     if M.size % 2:
-        p = -p
-    return limit_at_neg_infinity(p)
+        lead = -lead
+    if k == 0:
+        return Ext(lead)
+    return POS_INF if (lead > 0) == (k % 2 == 0) else NEG_INF
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV, LINF)
+from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV, LINF,
+                      _extend_axes)
 
 BASES = [PointAtInfinity("y"), PointAtInfinity("x", Fraction(0)),
          PointAtInfinity("x", Fraction(1)), PointAtInfinity("x", Fraction(-2))]
@@ -16,8 +17,8 @@ def random_cluster(rng: random.Random, max_nodes=9, depth_cap=8,
     """Random valid cluster with mixed free and satellite steps."""
     bases = rng.sample(BASES, n_roots)
     nodes = [Node(parent=-1, base=b, step=None) for b in bases]
-    # axes bookkeeping mirrors cluster validation: (u-axis, v-axis or None)
-    axes = [(LINF, None)] * n_roots
+    axes = []       # (u-axis, v-axis or None) per node, as validation has them
+    _extend_axes(nodes, axes)
     depth = [1] * n_roots
     used = set()
     n_extra = rng.randint(1, max(1, max_nodes - n_roots))
@@ -25,7 +26,7 @@ def random_cluster(rng: random.Random, max_nodes=9, depth_cap=8,
         p = rng.randrange(len(nodes))
         if depth[p] >= depth_cap:
             continue
-        pu, pv = axes[p]
+        pv = axes[p][1]
         cs = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
               for _ in range(3)]
         options = [Free(c) for c in cs if c != 0 or pv is None]
@@ -37,12 +38,7 @@ def random_cluster(rng: random.Random, max_nodes=9, depth_cap=8,
             continue
         used.add((p, step))
         nodes.append(Node(parent=p, base=None, step=step))
-        if isinstance(step, Free):
-            axes.append((p, None))
-        elif isinstance(step, SatV):
-            axes.append((p, pv))
-        else:
-            axes.append((pu, p))
+        _extend_axes(nodes, axes)
         depth.append(depth[p] + 1)
     return Cluster(nodes)
 

@@ -246,6 +246,9 @@ class PuiseuxSeries:
                 raise ValueError("exponents must be positive")
             if _q(c) == 0:
                 raise ValueError("zero coefficients must be omitted")
+            if j > self.K and not self.exact:
+                raise ValueError(f"exponent {j} is above the truncation "
+                                 f"K = {self.K}")
 
     @staticmethod
     def make(m: int, coeffs, K: int, exact: bool = False) -> "PuiseuxSeries":

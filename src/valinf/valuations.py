@@ -21,7 +21,7 @@ from .cluster import (BranchWalk, Cluster, PathTrie, PuiseuxBranch,
                       PointAtInfinity, diverging_depths, eval_divisorial,
                       extend_dual_tree, monomial_to_node, weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
-from .exact import Ext, NEG_INF, POS_INF, _q, ext_min
+from .exact import Ext, NEG_INF, POS_INF, _q
 from .series import LaurentSeries, PuiseuxSeries, powers
 
 
@@ -164,7 +164,7 @@ def evaluate(v: Valuation, P: dict) -> Ext:
     if isinstance(v, Root):
         return Ext(-max(map(sum, P)))
     if isinstance(v, Monomial):
-        return ext_min(Ext(v.s * i + v.t * j) for (i, j) in P)
+        return Ext(min(v.s * i + v.t * j for (i, j) in P))
     raise TypeError(f"not a valuation: {v!r}")
 
 

@@ -13,7 +13,7 @@ from valinf.errors import (IndeterminateForm, InsufficientTruncation,
                            InternalMismatch, InvalidCluster,
                            NeedsFieldExtension, PreconditionViolated)
 from valinf.exact import (NEG_INF, POS_INF, Ext, LinSolveResult, SymMatrixExt,
-                          _q, ext_sum, sign_at_neg_infinity)
+                          _q, ext_sum)
 from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree, measure,
                               point_equal, point_green, point_meet,
                               point_skewness)
@@ -23,13 +23,75 @@ from valinf.valuations import (ROOT, Comparison, Curve, Divisorial, Root,
                                _wrap_lca, equal, path_key, skewness)
 
 
+def upoly(coeffs) -> tuple:
+    """A polynomial in u as its coefficients from u^0 up, trailing zeros
+    dropped; () is the zero polynomial."""
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def upoly_add(a: tuple, b: tuple) -> tuple:
+    n = max(len(a), len(b))
+    return upoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def upoly_mul(a: tuple, b: tuple) -> tuple:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return upoly(out)
+
+
+def upoly_limit(p: tuple) -> Ext:
+    """lim p(u) as u -> -infinity."""
+    if len(p) <= 1:
+        return Ext(p[0] if p else 0)
+    return POS_INF if (p[-1] > 0) == (len(p) % 2 == 1) else NEG_INF
+
+
+def upoly_rows(M: SymMatrixExt, k=None) -> list:
+    """The leading k x k block of M with u in place of every -inf."""
+    k = M.size if k is None else k
+    return [[upoly([0, 1]) if e.kind < 0 else upoly([e.q]) for e in row[:k]]
+            for row in M.entries[:k]]
+
+
+def upoly_det(rows) -> tuple:
+    """Determinant of a square matrix of polynomials in u by minor
+    expansion along the rows, memoized on the columns left: 2^n minors,
+    each a sum over its columns."""
+    n = len(rows)
+    memo = {}
+
+    def minor(row, cols):
+        if row == n:
+            return upoly([1])
+        if (row, cols) not in memo:
+            acc = ()
+            for pos, col in enumerate(cols):
+                entry = rows[row][col]
+                if not entry:
+                    continue
+                term = upoly_mul(entry, minor(row + 1,
+                                              cols[:pos] + cols[pos + 1:]))
+                acc = upoly_add(acc, term if pos % 2 == 0
+                                else tuple(-c for c in term))
+            memo[(row, cols)] = acc
+        return memo[(row, cols)]
+
+    return minor(0, tuple(range(n)))
+
+
 def is_negative_definite(M: SymMatrixExt) -> bool:
-    """Sylvester criterion evaluated in the u -> -inf limit: one
-    determinant per leading block."""
+    """Sylvester criterion evaluated in the u -> -inf limit: the k-th
+    leading minor, by ``upoly_det``, tends to a value of sign (-1)^k."""
     for k in range(1, M.size + 1):
-        sign, _ = sign_at_neg_infinity(M.det_tpoly(k))
-        want = 1 if k % 2 == 0 else -1
-        if sign != want:
+        lim = upoly_limit(upoly_det(upoly_rows(M, k)))
+        if (lim > 0) != (k % 2 == 0) or lim == 0:
             return False
     return True
 

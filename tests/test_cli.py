@@ -97,6 +97,38 @@ def test_chi_verdicts(scfile, capsys):
     assert rc == 0 and "borderline" in out
 
 
+C2 = {"kind": "curve", "base": {"chart": "y"}, "m": 2,
+      "coefficients": {"1": "1"}, "exact": True}
+
+
+@pytest.fixture
+def curvefile(tmp_path):
+    p = tmp_path / "curves.json"
+    p.write_text(json.dumps(dict(
+        SCENARIO, valuations=dict(SCENARIO["valuations"], c2=C2))))
+    return str(p)
+
+
+@pytest.mark.parametrize("names, chi, verdict", [
+    # det [[u, 1], [1, 0]] = -1: one row holds u, yet the degree is 0
+    (["c1", "m0"], "-1", "not rich"),
+    (["c1", "root"], "-inf", "not rich"),
+    (["c1", "c2"], "+inf", "rich"),
+], ids=["degree-drop", "minus-inf", "plus-inf"])
+def test_chi_of_sets_with_curves(curvefile, capsys, names, chi, verdict):
+    rc, out, err = run(capsys, "chi", "-f", curvefile, *names)
+    assert (rc, out, err) == (0, f"chi = {chi} ({verdict})\n", "")
+    rc, out, err = run(capsys, "chi", "-f", curvefile, "--json", *names)
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == {"chi": chi, "verdict": verdict}
+
+
+def test_matrix_of_two_curves(curvefile, capsys):
+    rc, out, _ = run(capsys, "matrix", "-f", curvefile, "--json", "c1", "c2")
+    assert rc == 0
+    assert json.loads(out)["matrix"] == [["-inf", "2/3"], ["2/3", "-inf"]]
+
+
 def test_classify(scfile, capsys):
     rc, out, _ = run(capsys, "classify", "-f", scfile, "--json", "m0")
     assert rc == 0
@@ -328,6 +360,27 @@ def test_bad_curve_field_in_a_meet_exits_2(tmp_path, capsys, fields, field):
     p.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "meet", "-f", str(p), "c", "d")
     assert rc == 2 and out == "" and err.startswith("error: " + field)
+
+
+def test_truncated_curve_with_a_term_past_k_exits_2(tmp_path, capsys):
+    # the t^3 term lies past K = 2; it was dropped, and the meet below
+    # read t^1 alone and exited 3.  At K = 4 the meet answers.
+    def meet(K):
+        doc = {"format": 1, "valuations": {
+            "c": {"kind": "curve", "base": {"chart": "y"}, "m": 2,
+                  "coefficients": {"1": "1", "3": "2"}, "K": K},
+            "d": {"kind": "divisorial", "base": {"chart": "y"},
+                  "steps": [{"type": "satellite-u"},
+                            {"type": "free", "c": "1"}]}}}
+        p = tmp_path / f"k{K}.json"
+        p.write_text(json.dumps(doc))
+        return run(capsys, "meet", "-f", str(p), "c", "d")
+
+    rc, out, err = meet(2)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: valuations.c: ") and "K = 2" in err
+    rc, out, _ = meet(4)
+    assert rc == 0 and "alpha = 1/4" in out
 
 
 def test_duplicate_name_exits_2(scfile, capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -224,6 +225,28 @@ def assert_rows_match_strict_transforms(cl):
     for i in range(len(cl)):
         assert g.ord_x[i] == ord_along_path(cl, i, X)[i]
         assert g.ord_y[i] == ord_along_path(cl, i, Y)[i]
+
+
+# (max_nodes, depth_cap, n_roots) of the clusters the benchmark workloads
+# draw: mixed classify sets, Green points of the curves ops and the
+# geometry warm-up; divisorial antichains of 3 and 4; geometry clusters
+WORKLOAD_CLUSTERS = ([(6, 8, 1), (6, 5, 1), (8, 8, 1)]
+                     + [(3 * n + 3, 8, r) for n in (3, 4) for r in (1, 2)]
+                     + [(n + 6, 12, r) for n in (9, 10, 13, 15, 18, 20)
+                        for r in (1, 2)])
+
+
+def test_seeded_random_clusters_stay_the_same():
+    # the benchmark's reference answers hold only while each seed draws
+    # the same cluster, so the rng draws of random_cluster keep their order
+    h = hashlib.sha256()
+    for max_nodes, depth_cap, n_roots in WORKLOAD_CLUSTERS:
+        for seed in range(50):
+            cl = random_cluster(random.Random(seed), max_nodes=max_nodes,
+                                depth_cap=depth_cap, n_roots=n_roots)
+            h.update(repr(cl.nodes).encode())
+    assert h.hexdigest() == ("3530812f6d677c87dd2509a32b70489886a81daae75e"
+                             "8d2b156fbdaef986ec0b")
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

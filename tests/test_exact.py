@@ -4,49 +4,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (gauss_jordan, is_negative_definite,
-                     solve_linear_by_fractions)
+                     solve_linear_by_fractions, upoly, upoly_det, upoly_limit,
+                     upoly_rows)
 from valinf.exact import (Ext, IndeterminateForm, NEG_INF, POS_INF,
-                          SymMatrixExt, TPoly, chi_det, det, ext_sum,
-                          invert_matrix, limit_at_neg_infinity,
-                          sign_at_neg_infinity, solve_linear)
+                          SymMatrixExt, chi_det, det, ext_sum, invert_matrix,
+                          solve_linear)
 from valinf.series import LaurentSeries, PuiseuxSeries
 
 F = Fraction
 derandomized = settings(derandomize=True, max_examples=200, deadline=None)
 
 
-# ---------------------------------------------------------------------------
-# slow path: the polynomial determinant that the interpolated chi_det
-# replaced
-# ---------------------------------------------------------------------------
+def chi_by_minor_expansion(M: SymMatrixExt) -> Ext:
+    """chi_det's slow path: (-1)^n times the limit of the determinant,
+    expanded by minors as a polynomial in u."""
+    p = upoly_det(upoly_rows(M))
+    return upoly_limit(tuple(-c for c in p) if M.size % 2 else p)
 
 
-def tpoly_det(rows):
-    """Determinant of a square TPoly matrix by minor expansion, 2^n work."""
-    n = len(rows)
-    memo = {}
-
-    def minor(row, cols):
-        if row == n:
-            return TPoly.const(1)
-        if (row, cols) not in memo:
-            acc = TPoly()
-            for pos, col in enumerate(cols):
-                entry = rows[row][col]
-                if entry.is_zero():
-                    continue
-                term = entry * minor(row + 1, cols[:pos] + cols[pos + 1:])
-                acc = acc + (term if pos % 2 == 0 else -term)
-            memo[(row, cols)] = acc
-        return memo[(row, cols)]
-
-    return minor(0, tuple(range(n)))
-
-
-def tpoly_rows(M: SymMatrixExt, k):
-    u = TPoly.param()
-    return [[u if e.kind < 0 else TPoly.const(e.q) for e in row[:k]]
-            for row in M.entries[:k]]
+def leading_blocks(M: SymMatrixExt):
+    return [SymMatrixExt([row[:k] for row in M.entries[:k]])
+            for k in range(1, M.size + 1)]
 
 
 class TestExt:
@@ -71,24 +49,22 @@ class TestExt:
         assert ext_sum([NEG_INF, Ext(7)]) == NEG_INF
 
 
-class TestTPoly:
-    def test_sign_at_neg_infinity(self):
-        # u^2 - 1 -> +inf
-        assert sign_at_neg_infinity(TPoly([-1, 0, 1])) == (1, "infinite")
-        assert sign_at_neg_infinity(TPoly([F(7, 2)])) == (1, "finite")
-        assert sign_at_neg_infinity(TPoly([0, 1])) == (-1, "infinite")
-        assert sign_at_neg_infinity(TPoly()) == (0, "finite")
-
-    def test_limit(self):
-        assert limit_at_neg_infinity(TPoly([0, 0, 1])) == POS_INF
-        assert limit_at_neg_infinity(TPoly([0, 1])) == NEG_INF
-        assert limit_at_neg_infinity(TPoly([5])) == Ext(5)
+class TestUPolyOracle:
+    @pytest.mark.parametrize("coeffs, want", [
+        ([0, 0, 1], POS_INF),
+        ([-1, 0, 1], POS_INF),
+        ([0, 1], NEG_INF),
+        ([F(7, 2)], Ext(F(7, 2))),
+        ([5], Ext(5)),
+        ([], Ext(0)),
+        ([3, 0, 0, -1], POS_INF),
+    ], ids=["u^2", "u^2-1", "u", "7/2", "5", "zero", "3-u^3"])
+    def test_limit(self, coeffs, want):
+        assert upoly_limit(upoly(coeffs)) == want
 
     def test_det(self):
-        u = TPoly.param()
-        one = TPoly.const(1)
-        d = tpoly_det([[u, one], [one, u]])
-        assert d == TPoly([-1, 0, 1])
+        u, one = upoly([0, 1]), upoly([1])
+        assert upoly_det([[u, one], [one, u]]) == upoly([-1, 0, 1])
 
 
 class TestChiDet:
@@ -101,6 +77,21 @@ class TestChiDet:
         M = SymMatrixExt([[NEG_INF, 1], [1, NEG_INF]])
         assert chi_det(M) == POS_INF
         assert is_negative_definite(M)
+
+    # each id names det(M) with u in place of -inf; chi is (-1)^n times
+    # its limit
+    @pytest.mark.parametrize("entries, want", [
+        ([[NEG_INF, 1], [1, NEG_INF]], POS_INF),
+        ([[NEG_INF, 0], [0, NEG_INF]], POS_INF),
+        ([[NEG_INF]], POS_INF),
+        ([[F(7, 2)]], Ext(F(-7, 2))),
+        ([[NEG_INF, 1], [1, 0]], Ext(-1)),
+        ([[NEG_INF, NEG_INF], [NEG_INF, NEG_INF]], Ext(0)),
+        ([[NEG_INF, 1, 0], [1, 0, 0], [0, 0, NEG_INF]], NEG_INF),
+    ], ids=["u^2-1", "u^2", "u", "7/2", "-1", "0", "-u"])
+    def test_limits_of_realized_polynomials(self, entries, want):
+        M = SymMatrixExt(entries)
+        assert chi_det(M) == want == chi_by_minor_expansion(M)
 
     def test_neg_definite_small(self):
         assert is_negative_definite(SymMatrixExt([[-1]]))
@@ -131,16 +122,10 @@ def sym_rational_matrix(draw):
 @given(sym_rational_matrix())
 def test_finite_sylvester_matches_direct(m):
     """With all entries finite the limit criterion is the plain one."""
-    M = SymMatrixExt(m)
-    direct = True
-    for k in range(1, len(m) + 1):
-        p = M.det_tpoly(k)
-        minor = p.coeffs[0] if p.coeffs else F(0)
-        assert p.degree <= 0
-        if (minor > 0) != (k % 2 == 0) or minor == 0:
-            direct = False
-            break
-    assert is_negative_definite(M) == direct
+    minors = [det([row[:k] for row in m[:k]]) for k in range(1, len(m) + 1)]
+    direct = all(d != 0 and (d > 0) == (k % 2 == 0)
+                 for k, d in enumerate(minors, 1))
+    assert is_negative_definite(SymMatrixExt(m)) == direct
 
 
 class TestSolveLinear:
@@ -270,14 +255,46 @@ def test_bareiss_matches_gauss_jordan(A):
 @derandomized
 @given(sym_ext_matrix())
 def test_chi_det_and_sylvester_match_minor_expansion(M):
-    n = M.size
-    minors = [tpoly_det(tpoly_rows(M, k)) for k in range(1, n + 1)]
-    assert [M.det_tpoly(k) for k in range(1, n + 1)] == minors
-    p = minors[-1]
-    assert chi_det(M) == limit_at_neg_infinity(-p if n % 2 else p)
-    assert is_negative_definite(M) == all(
-        sign_at_neg_infinity(q)[0] == (-1) ** k
-        for k, q in enumerate(minors, 1))
+    blocks = leading_blocks(M)
+    chis = [chi_det(B) for B in blocks]
+    assert chis == [chi_by_minor_expansion(B) for B in blocks]
+    # chi of the k-th leading block is (-1)^k times its minor's limit
+    assert is_negative_definite(M) == all(chi > 0 for chi in chis)
+
+
+@st.composite
+def degree_drop_matrix(draw):
+    """A symmetric matrix of size n <= 9 with r rows that hold a -inf
+    whose determinant, with u for -inf, has degree below r: a -inf row
+    repeated with -inf where the two meet, so det is 0, or a -inf
+    diagonal entry whose row meets a row that is zero but for a 1 in its
+    column, so that u leaves the expansion."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(n)))
+    i, j = order[:2]
+    M = [[F(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1):
+            M[a][b] = M[b][a] = draw(entries)
+    for k in (i, *order[2 + draw(st.integers(0, n - 2)):]):
+        M[k][k] = NEG_INF
+    if draw(st.booleans()):
+        for k in range(n):
+            M[j][k] = M[k][j] = M[i][k]
+        M[i][j] = M[j][i] = M[j][j] = NEG_INF
+    else:
+        for k in range(n):
+            M[j][k] = M[k][j] = F(0)
+        M[i][j] = M[j][i] = F(1)
+    return SymMatrixExt(M)
+
+
+@derandomized
+@given(degree_drop_matrix())
+def test_chi_det_matches_minor_expansion_where_the_degree_drops(M):
+    r = sum(1 for row in M.entries if any(e.kind < 0 for e in row))
+    assert len(upoly_det(upoly_rows(M))) - 1 < r
+    assert chi_det(M) == chi_by_minor_expansion(M)
 
 
 def test_det_rejects_non_square():
@@ -287,12 +304,11 @@ def test_det_rejects_non_square():
 
 @pytest.mark.parametrize("build", [
     lambda x: Ext(x),
-    lambda x: TPoly([1, x]),
     lambda x: solve_linear([[1, x]]),
     lambda x: solve_linear([[1]], [x]),
     lambda x: LaurentSeries({0: 1, 2: x}),
     lambda x: PuiseuxSeries.make(2, {1: x}, 1),
-], ids=["Ext", "TPoly", "solve_linear", "solve_linear_rhs", "LaurentSeries",
+], ids=["Ext", "solve_linear", "solve_linear_rhs", "LaurentSeries",
         "PuiseuxSeries.make"])
 def test_floats_are_rejected(build):
     # a float is not an exact rational; ints, Fractions and "p/q" are
