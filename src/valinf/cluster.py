@@ -48,13 +48,27 @@ class PointAtInfinity:
         if self.chart == "y" and self.c != 0:
             raise InvalidCluster("the y-chart point admits no parameter")
 
+    def __hash__(self):
+        return hash((self.chart, *self.c.as_integer_ratio()))
+
 
 @dataclass(frozen=True, slots=True)
 class Free:
+    """A free center: the point v1 = c on the new exceptional divisor.
+
+    Equality is by value, and the hash is that of c's numerator and
+    denominator: centers are hashed on every trie lookup and with every
+    path key, and a ``Fraction``'s own hash takes a modular inverse on
+    each call.  Nothing is stored for it, since a stored hash would be
+    one more int object per center that a cluster holds."""
+
     c: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "c", _q(self.c))
+
+    def __hash__(self):
+        return hash(self.c.as_integer_ratio())
 
 
 @dataclass(frozen=True, slots=True)
@@ -380,7 +394,8 @@ class GeometryTable:
         self._minv = None
 
     def _index(self, comp):
-        return self.comps.index(comp)
+        # comps is [LINF, 0, ..., n - 1] (see build_geometry)
+        return 0 if comp == LINF else comp + 1
 
     def minv(self):
         """Inverse of the intersection matrix, computed once."""

@@ -83,14 +83,10 @@ def _divisorial_rows(v: Divisorial, monomials, d: int, strict: bool) -> list:
     path = cl.path(node)
     base = cl.nodes[path[0]].base
     steps = [cl.nodes[i].step for i in path[1:]]
-    # pull back the local equation u of the line at infinity first;
-    # ord_E(P) = mult(F) - d * mult(u) at the blown-up center
-    U = {(1, 0): Fraction(1)}
-    for st in steps:
-        U = blowup_substitute(U, st)
-    # multiplicity at a point is the minimal total degree of the local
-    # expansion; ord along the divisor of the blown-up point equals it
-    need = d * min(a + b for (a, b) in U) + (1 if strict else 0)
+    # ord_E(P) = mult(F) - d * ord_E(u) for F the total transform of
+    # u^d P at the blown-up center and u the local equation of the line
+    # at infinity, whose ord_E(u) = -min(ord_E x, ord_E y) is b_E
+    need = d * cl.geometry().b[node] + (1 if strict else 0)
     # the total transform is linear in the unknowns: push each monomial
     # through the charts alone, discarding terms at or above the threshold
     # as they appear (total degree never decreases under a blowup)

@@ -41,7 +41,7 @@ ROOT = Root()
 class Monomial(Valuation):
     """v_{s,t}(P) = min si + tj over the support, min(s,t) = -1."""
 
-    __slots__ = ("s", "t", "_realized")
+    __slots__ = ("s", "t", "_realized", "_key")
 
     def __init__(self, s, t):
         s, t = _q(s), _q(t)
@@ -55,6 +55,7 @@ class Monomial(Valuation):
         self.s = s
         self.t = t
         self._realized = None
+        self._key = None
 
     def realize(self):
         if self._realized is None:
@@ -66,13 +67,14 @@ class Monomial(Valuation):
 
 
 class Divisorial(Valuation):
-    __slots__ = ("cluster", "node")
+    __slots__ = ("cluster", "node", "_key")
 
     def __init__(self, cluster: Cluster, node: int):
         if not (0 <= node < len(cluster)):
             raise ValueError("node index out of range")
         self.cluster = cluster
         self.node = node
+        self._key = None
 
     def realize(self):
         return self.cluster, self.node
@@ -100,9 +102,12 @@ class Comparison(Enum):
 
 
 def path_key(v: Valuation):
-    """Canonical (base, steps) identity of a realizable valuation."""
-    cl, node = v.realize()
-    return cl.key(node)
+    """Canonical (base, steps) identity of a realizable valuation: read
+    off its cluster on the first call, then kept on the valuation."""
+    if v._key is None:
+        cl, node = v.realize()
+        v._key = cl.key(node)
+    return v._key
 
 
 # ---------------------------------------------------------------------------

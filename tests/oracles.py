@@ -7,6 +7,7 @@ from typing import Sequence
 from valinf import poly
 from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
                             PointAtInfinity, PuiseuxBranch, SatU, SatV,
+                            base_strict_series, blowup_substitute,
                             branch_steps, chain_cluster, eval_divisorial,
                             merge_paths)
 from valinf.errors import (IndeterminateForm, InsufficientTruncation,
@@ -271,6 +272,38 @@ def gauss_jordan(A):
                 f = aug[i][c]
                 aug[i] = [e - f * p for e, p in zip(aug[i], aug[c])]
     return d, [row[n:] for row in aug]
+
+
+def divisorial_rows_by_pullback(v: Divisorial, monomials, d: int,
+                                strict: bool) -> list:
+    """``polyfinder._divisorial_rows`` with ord_E(u) read off the pullback
+    of the local equation u of the line at infinity, not off b_E."""
+    cl, node = v.realize()
+    path = cl.path(node)
+    base = cl.nodes[path[0]].base
+    steps = [cl.nodes[i].step for i in path[1:]]
+    # pull back the local equation u of the line at infinity first;
+    # ord_E(P) = mult(F) - d * mult(u) at the blown-up center
+    U = {(1, 0): Fraction(1)}
+    for st in steps:
+        U = blowup_substitute(U, st)
+    # multiplicity at a point is the minimal total degree of the local
+    # expansion; ord along the divisor of the blown-up point equals it
+    need = d * min(a + b for (a, b) in U) + (1 if strict else 0)
+    # the total transform is linear in the unknowns: push each monomial
+    # through the charts alone, discarding terms at or above the threshold
+    # as they appear (total degree never decreases under a blowup)
+    cols = {}
+    for k, m in enumerate(monomials):
+        F = {key: c for key, c
+             in base_strict_series(base, {m: Fraction(1)}, d).items()
+             if key[0] + key[1] < need}
+        for st in steps:
+            F = blowup_substitute(F, st, need)
+        for key, c in F.items():
+            cols.setdefault(key, {})[k] = c
+    return [[row.get(k, Fraction(0)) for k in range(len(monomials))]
+            for row in cols.values()]
 
 
 def branch_to_nodes(base, series, depth: int):

@@ -3,9 +3,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import solve_linear_by_fractions
+from oracles import divisorial_rows_by_pullback, solve_linear_by_fractions
 from randgen import (random_cluster, incomparable_nodes,
                      random_divisorial_set, random_mixed_set)
 from valinf import poly, polyfinder
@@ -176,4 +176,19 @@ def test_witnesses_match_fraction_gauss_jordan(seed, mixed, D):
     with mock.patch.object(polyfinder, "solve_linear",
                            solve_linear_by_fractions):
         assert got == [f(S, D) for f in searches]
+
+
+@oracle_settings
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 4),
+       st.booleans())
+@example(seed=16, n_roots=1, d=3, strict=True)    # base x, c = 1
+@example(seed=0, n_roots=1, d=2, strict=False)    # base x, c = -2
+def test_divisorial_rows_match_the_pullback_of_u(seed, n_roots, d, strict):
+    rng = random.Random(seed)
+    cl = random_cluster(rng, max_nodes=12, n_roots=n_roots)
+    monomials = monomials_upto(d)
+    for node in range(len(cl)):
+        v = Divisorial(cl, node)
+        assert valuation_conditions(v, d, strict, monomials).rows == \
+            divisorial_rows_by_pullback(v, monomials, d, strict)
 

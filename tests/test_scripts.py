@@ -163,3 +163,19 @@ def test_cap_sweep_prints_one_json_line_per_cap():
         ("MAX_SEGMENT_DEPTH", "walk"): "list",
         ("MAX_ORACLE_COUNT", "oracle_check"): "tuple"}
     assert all(i["seconds"] >= 0 for r in rows for i in r["inputs"].values())
+
+
+def test_rss_per_op_prints_one_line_per_op_count_and_a_fit():
+    done = subprocess.run(
+        [sys.executable, "scripts/rss_per_op.py", "--workload", "geometry",
+         "--ops", "2", "4"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    *rows, fit = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(r["ops"], r["attempted"], r["failed"]) for r in rows] == \
+        [(2, 2, 0), (4, 4, 0)]
+    assert all(r["ops_per_s"] > 0 and r["peak_rss_mb"] > 0 for r in rows)
+    # two points fix the line: it passes through both
+    for r in rows:
+        assert abs(fit["intercept_mb"] + fit["kb_per_op"] / 1024
+                   * r["attempted"] - r["peak_rss_mb"]) < 0.05
