@@ -5,7 +5,9 @@ with ``time.perf_counter`` and one JSON line is printed: the polynomial,
 its branches, the pair divergences of the hull of its branches (calls
 of ``cluster.diverging_depths``, one per pair of branches at one point
 of L-infinity), the branch center steps, the calls of
-``cluster.build_geometry`` and of ``eval_divisorial``, and the seconds.
+``cluster.build_geometry``, the nodes whose rows (skewness, b,
+thinness; ``Cluster.rows``) are computed, the calls of
+``eval_divisorial``, and the seconds.
 The atoms are read off the Green identity, so Q is never evaluated and
 ``eval_divisorial`` stays at 0.  The branches are expanded
 before the clock starts, so the time is that of the log-Laplacian alone.
@@ -46,11 +48,19 @@ def main():
     args = ap.parse_args()
 
     calls = {"meets": 0, "center_steps": 0, "build_geometry": 0,
-             "eval_divisorial": 0}
+             "rows": 0, "eval_divisorial": 0}
     # the hull calls diverging_depths by the name valuations gives it
     counting(calls, "meets", valuations, "diverging_depths")
     counting(calls, "center_steps", cluster, "_center_step")
     counting(calls, "build_geometry", cluster, "build_geometry")
+    extend_rows = cluster._extend_rows
+
+    def counting_rows(table, xy, cl):
+        before = len(table)
+        extend_rows(table, xy, cl)
+        calls["rows"] += len(table) - before
+
+    cluster._extend_rows = counting_rows
     # the one function and both names it is called by
     counting(calls, "eval_divisorial", cluster, "eval_divisorial")
     valuations.eval_divisorial = cluster.eval_divisorial

@@ -7,9 +7,11 @@ positive.  One ``classify(S, 1)`` call is timed with
 classify, the seconds spent in its calls of ``reduce_with_report``,
 ``chi_of`` (the hull of the reduced set, its matrix and ``chi_det``) and
 ``chi_det`` alone, the ``cluster.build_geometry`` calls of the whole
-classify and those made inside ``chi_of``.  The time and
-the calls are taken by wrappers that this script puts around the
-library's functions; the library itself counts nothing.
+classify and those made inside ``chi_of``, and likewise the nodes whose
+rows (skewness, b, thinness; ``Cluster.rows``) are computed, which
+``chi_of`` reads its matrix off.  The time and the counts are taken by
+wrappers that this script puts around the library's functions; the
+library itself counts nothing.
 
 Usage: python3 scripts/set_scale.py [N ...]
 """
@@ -44,6 +46,7 @@ def main():
 
     seconds = dict.fromkeys(PHASES, 0.0)
     builds = {"all": 0, "chi_of": 0}
+    rows = {"all": 0, "chi_of": 0}
     running = []
 
     def timing(name):
@@ -71,13 +74,23 @@ def main():
         return build_geometry(cl)
 
     cluster.build_geometry = counting
+    extend_rows = cluster._extend_rows
+
+    def counting_rows(table, xy, cl):
+        before = len(table)
+        extend_rows(table, xy, cl)
+        rows["all"] += len(table) - before
+        if "chi_of" in running:
+            rows["chi_of"] += len(table) - before
+
+    cluster._extend_rows = counting_rows
 
     for n in args.n:
         S = antichain(n)
         for k in seconds:
             seconds[k] = 0.0
         for k in builds:
-            builds[k] = 0
+            builds[k] = rows[k] = 0
         t0 = time.perf_counter()
         richness.classify(S, 1)
         total = time.perf_counter() - t0
@@ -85,7 +98,8 @@ def main():
             "n": n, "classify_s": round(total, 4),
             **{f"{k}_s": round(v, 4) for k, v in seconds.items()},
             "build_geometry": builds["all"],
-            "chi_of_build_geometry": builds["chi_of"]}),
+            "chi_of_build_geometry": builds["chi_of"],
+            "rows": rows["all"], "chi_of_rows": rows["chi_of"]}),
             flush=True)
     return 0
 

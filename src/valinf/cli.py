@@ -37,7 +37,7 @@ def _describe_point(p) -> str:
         return f"v_{{{p.s},{p.t}}}"
     if isinstance(p, Divisorial):
         return (f"divisorial at alpha="
-                f"{format_rational(p.cluster.geometry().alpha[p.node])}")
+                f"{format_rational(p.cluster.rows()[p.node].alpha)}")
     if isinstance(p, Curve):
         return f"curve branch at {p.branch.base}"
     return repr(p)

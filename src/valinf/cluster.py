@@ -3,9 +3,10 @@
 A ``Cluster`` is a rooted forest of blowup centers.  Each root node is a
 point of L-infinity in one of two affine charts; each further node is a
 point on the exceptional divisor of its parent, tagged free or satellite.
-``build_geometry`` produces the boundary intersection matrix together
-with b_E, ord_E(x), ord_E(y), ord_E(dx^dy), skewness and thinness, and
-cross-checks skewness through two independent formulas.
+Each node's ``Row`` holds what its own center path fixes: b_E, ord_E(x),
+ord_E(y), ord_E(dx^dy), skewness and thinness (``Cluster.rows``).
+``build_geometry`` adds what depends on the whole cluster: the boundary
+intersection matrix and the dual tree.
 
 Chart conventions.  At every node we use local coordinates (u, v) in
 which the point is the origin.  Blowing up gives chart 1 with
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from . import poly
 from .errors import (InsufficientTruncation, InvalidCluster,
@@ -150,14 +152,31 @@ def _extend_axes(nodes, axes, roots=None, children=None):
             raise InvalidCluster(f"unknown step {st!r}")
 
 
+class Row(NamedTuple):
+    """What the center path of a boundary component E fixes: ord_E(x),
+    ord_E(y), ord_E(dx^dy), b_E = -min(ord_E x, ord_E y), the skewness
+    alpha_E and the thinness A_E = (1 + ord_E(dx^dy)) / b_E."""
+
+    ord_x: int
+    ord_y: int
+    ord_w: int
+    b: int
+    alpha: Fraction
+    thin: Fraction
+
+
+LINF_ROW = Row(-1, -1, -3, 1, Fraction(1), Fraction(-2))
+
+
 class Cluster:
     """An immutable forest of infinitely near points.
 
     It caches its geometry and, for the last ``STRICT_MEMO_POLYS``
     polynomials evaluated on it, the strict transform and ord at every
     node reached so far (see ``ord_along_path``).  A cluster made by a
-    ``PathTrie`` shares the per-node geometry rows with the trie's other
-    clusters until its geometry is built.
+    ``PathTrie`` shares its rows, and the strict transforms of x and y
+    that they are computed from, with the trie's other clusters; once
+    its rows cover its nodes it drops the transforms.
     """
 
     STRICT_MEMO_POLYS = 8
@@ -165,7 +184,8 @@ class Cluster:
     def __init__(self, nodes, _axes=None):
         self.nodes = tuple(nodes)
         self._geometry = None
-        self._rows = None
+        self._rows = {LINF: LINF_ROW}
+        self._xy = []
         self._strict = {}
         if _axes is None:
             _axes = []
@@ -188,10 +208,19 @@ class Cluster:
         p = self.path(i)
         return (self.nodes[p[0]].base, tuple(self.nodes[j].step for j in p[1:]))
 
+    def rows(self) -> dict:
+        """The ``Row`` of LINF and of each node.  The first call puts in
+        the rows that the ones shared with the cluster's ``PathTrie``
+        lack (see ``_extend_rows``), and then drops the transforms."""
+        if self._xy is not None:
+            if len(self._rows) <= len(self.nodes):
+                _extend_rows(self._rows, self._xy, self)
+            self._xy = None
+        return self._rows
+
     def geometry(self) -> "GeometryTable":
         if self._geometry is None:
             self._geometry = build_geometry(self)
-            self._rows = None
         return self._geometry
 
 
@@ -204,29 +233,29 @@ class PathTrie:
     returns ``(Cluster, ends)``: the new cluster's nodes extend those of
     the previous one with the same indices.
 
-    The geometry rows of a node (strict transforms of x and y, ord_x,
-    ord_y, ord_w and b; see ``build_geometry``) depend only on its own
-    center path, so they are computed once per trie and shared by all
-    its clusters.  A caller that deepens its paths round by round
-    transforms each node once, and each round's geometry only redoes the
-    intersection matrix, the dual tree, skewness and thinness.
+    The row of a node and the strict transforms of x and y at its center
+    depend only on its own center path, so they are computed once per
+    trie and shared by all its clusters.  A caller that deepens its paths
+    round by round transforms each node once, and each round's geometry
+    only redoes the intersection matrix and the dual tree.
 
     Cost: ``add`` is one dict lookup per step of the given paths, plus a
     check of the nodes put in since the last ``add`` (the trie keeps the
     axes of the nodes it has checked) and a copy of the node list; the
-    cluster's geometry then costs O(n) for n nodes plus the transforms of
-    the nodes that no earlier cluster of the trie reached.  A one-shot trie
-    (``merge_paths``, ``chain_cluster``) costs what a single merge and
-    build cost, and its cluster keeps nothing more once its geometry is
-    built.
+    cluster's rows then cost the transforms of the nodes that no earlier
+    cluster of the trie reached, and its geometry O(n) more for n nodes.
+    A one-shot trie (``merge_paths``, ``chain_cluster``) costs what a
+    single merge and build cost, and its cluster keeps no transform once
+    its rows are computed.
     """
 
-    __slots__ = ("nodes", "_index", "_rows", "_axes")
+    __slots__ = ("nodes", "_index", "_rows", "_xy", "_axes")
 
     def __init__(self):
         self.nodes = []
         self._index = {}
-        self._rows = []
+        self._rows = {LINF: LINF_ROW}
+        self._xy = []
         self._axes = []
 
     def add(self, paths):
@@ -237,7 +266,7 @@ class PathTrie:
         ends = self.insert(paths)
         _extend_axes(self.nodes, self._axes)
         cl = Cluster(self.nodes, self._axes)
-        cl._rows = self._rows
+        cl._rows, cl._xy = self._rows, self._xy
         return cl, ends
 
     def insert(self, paths) -> list:
@@ -370,27 +399,45 @@ def step_transform(F: dict, step, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def root_path(parent, c) -> list:
+    """The path from the root down to ``c`` in the tree of ``parent``,
+    a map from each vertex to its parent and from the root to None."""
+    out = []
+    while c is not None:
+        out.append(c)
+        c = parent[c]
+    out.reverse()
+    return out
+
+
+def tree_lca(parent, a, b):
+    """The lowest common ancestor of ``a`` and ``b`` in the tree of
+    ``parent``: the first vertex above ``b`` on the root path of ``a``."""
+    above = set()
+    while a is not None:
+        above.add(a)
+        a = parent[a]
+    while b not in above:
+        b = parent[b]
+    return b
+
+
 class GeometryTable:
     """Boundary intersection data for a cluster.
 
     Components are named by LINF and node indices.  The dual graph of the
-    boundary is a tree rooted at LINF.  The table keeps no reference to
-    its cluster, which caches it: without a cycle, both are freed as soon
-    as the last reference goes, not at the next full garbage collection.
+    boundary is a tree rooted at LINF, given by its ``parent`` map.  The
+    ``rows`` are the cluster's (``Cluster.rows``).  The table keeps no
+    reference to its cluster, which caches it: without a cycle, both are
+    freed as soon as the last reference goes, not at the next full
+    garbage collection.
     """
 
-    def __init__(self, comps, inter, ord_x, ord_y, ord_w,
-                 b, alpha, thin, parent, depth):
+    def __init__(self, comps, inter, rows, parent):
         self.comps = comps
         self.inter = inter
-        self.ord_x = ord_x
-        self.ord_y = ord_y
-        self.ord_w = ord_w
-        self.b = b
-        self.alpha = alpha
-        self.thin = thin
+        self.rows = rows
         self.parent = parent
-        self.depth = depth
         self._minv = None
 
     def _index(self, comp):
@@ -414,39 +461,27 @@ class GeometryTable:
 
     def lca(self, a, b):
         """Lowest common ancestor in the dual tree (root LINF)."""
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a = self.parent[a]
-            da -= 1
-        while db > da:
-            b = self.parent[b]
-            db -= 1
-        while a != b:
-            a = self.parent[a]
-            b = self.parent[b]
-        return a
+        return tree_lca(self.parent, a, b)
 
     def dual_path(self, comp):
         """Path LINF..comp in the dual tree."""
-        out = []
-        while comp is not None:
-            out.append(comp)
-            comp = self.parent[comp]
-        return out[::-1]
+        return root_path(self.parent, comp)
 
 
-def _extend_rows(rows: list, cl: Cluster):
-    """Append the geometry rows of the nodes of ``cl`` past ``rows``.
+def _extend_rows(rows: dict, xy: list, cl: Cluster):
+    """Put in ``rows`` the ``Row`` of each node of ``cl`` past it, and in
+    ``xy`` the strict transforms of x and y at its center.
 
-    Node i's row is (strict transform of x, of y, ord_x, ord_y, ord_w, b)
-    at its center.  It depends only on the node's own center path (its
-    parent and axes are on that path), so clusters whose node lists
-    extend one another share one list of rows.
+    A row depends only on the node's own center path (its parent and
+    axes are on that path), so clusters whose node lists extend one
+    another share one ``rows`` and one ``xy``.  ord_x and ord_y add the
+    multiplicity of the strict transform to the ords of the axes, and
+    ord_w adds 1 to theirs.  The skewness is alpha_u - 1/(b_u b) for the
+    u-axis u, the node's dual-tree parent when it is added (see
+    ``extend_dual_tree``); no later node changes it (Favre-Jonsson, *The
+    Valuative Tree*, LNM 1853).
     """
-    def ords(k):
-        return (-1, -1, -3) if k == LINF else rows[k][2:5]
-
-    for i in range(len(rows), len(cl)):
+    for i in range(len(rows) - 1, len(cl)):
         nd = cl.nodes[i]
         if nd.parent == -1:
             if nd.base.chart == "x":
@@ -458,20 +493,23 @@ def _extend_rows(rows: list, cl: Cluster):
                 fx = {(0, 1): Fraction(1)}
                 fy = {(0, 0): Fraction(1)}
         else:
-            pfx, pfy = rows[nd.parent][:2]
+            pfx, pfy = xy[nd.parent]
             fx = step_transform(pfx, nd.step, mult(pfx))
             fy = step_transform(pfy, nd.step, mult(pfy))
         ua, va = cl.axes[i]
-        ox, oy, ow = ords(ua)
+        u = rows[ua]
+        ox, oy, ow = u.ord_x, u.ord_y, u.ord_w + 1
         if va is not None:
-            vx, vy, vw = ords(va)
-            ox, oy, ow = ox + vx, oy + vy, ow + vw
+            v = rows[va]
+            ox, oy, ow = ox + v.ord_x, oy + v.ord_y, ow + v.ord_w
         ox += mult(fx)
         oy += mult(fy)
         b = -min(ox, oy)
         if b <= 0:
             raise InternalMismatch(f"non-positive b at node {i}")
-        rows.append((fx, fy, ox, oy, ow + 1, b))
+        xy.append((fx, fy))
+        rows[i] = Row(ox, oy, ow, b, u.alpha - Fraction(1, u.b * b),
+                      Fraction(1 + ow, b))
 
 
 def extend_dual_tree(parent: dict, cl: Cluster) -> dict:
@@ -480,43 +518,39 @@ def extend_dual_tree(parent: dict, cl: Cluster) -> dict:
 
     ``parent`` is that map for the first nodes of ``cl``, say of an
     earlier cluster of the same ``PathTrie``; it is extended in place to
-    all nodes and returned.  Blowing up a center adds its divisor as a
-    leaf under the one boundary component through a free point, and on
-    the edge between the two through a satellite point, so each node
-    takes O(1) and needs no strict transform.  The ancestors of a node
-    stay its ancestors as nodes are added.
+    all nodes and returned.  Blowing up a center adds its divisor E as a
+    leaf under the one boundary component through a free point, its
+    u-axis, and on the edge between the two through a satellite point,
+    which runs from its u-axis down to its v-axis.  That order holds by
+    induction: the blowup makes an edge from E's u-axis down to E and,
+    at a satellite point, one from E down to its v-axis; the point where
+    the ends of the first meet is E's SatU child, of axes (u-axis, E),
+    that of the second is E's SatV child, of axes (E, v-axis), and two
+    components meet at one point at most.  So each node takes O(1) and
+    needs no strict transform.  The ancestors of a node stay its
+    ancestors as nodes are added.
     """
     for i in range(len(parent) - 1, len(cl)):
         ua, va = cl.axes[i]
-        if va is None:
-            parent[i] = ua
-        elif parent[va] == ua:
-            parent[i], parent[va] = ua, i
-        elif parent[ua] == va:
-            parent[i], parent[ua] = va, i
-        else:
-            raise InvalidCluster(f"node {i}: satellite boundaries do not meet")
+        parent[i] = ua
+        if va is not None:
+            parent[va] = i
     return parent
 
 
 def build_geometry(cl: Cluster) -> GeometryTable:
     """The boundary geometry of a cluster.
 
-    Cost: the rows of ``_extend_rows`` for the nodes not yet in the rows
-    the cluster shares with its ``PathTrie`` (all nodes for a cluster
-    built alone), each two strict transforms; then a pass linear in the
-    n nodes for the intersection matrix, the dual tree, skewness and
-    thinness.
+    Cost: the cluster's rows (``Cluster.rows``), then a pass linear in
+    the n nodes for the intersection matrix and the dual tree.  The
+    identity alpha = (dual . dual) / b^2 is not re-verified here: it
+    needs the O(n^3) inverse of the intersection matrix, and
+    ``randomized.check_cluster_consistency`` checks it.
     """
     n = len(cl)
-    rows = cl._rows if cl._rows is not None else []
-    _extend_rows(rows, cl)
+    rows = cl.rows()
     comps = [LINF] + list(range(n))
     inter = {(LINF, LINF): 1}
-    ord_x = {LINF: -1}
-    ord_y = {LINF: -1}
-    ord_w = {LINF: -3}
-    b = {LINF: 1}
     for i in range(n):
         ua, va = cl.axes[i]
         through = [ua] + ([va] if va is not None else [])
@@ -527,32 +561,8 @@ def build_geometry(cl: Cluster) -> GeometryTable:
         if len(through) == 2:
             a, b2 = through
             inter[(a, b2)] = inter[(b2, a)] = 0
-        _, _, ord_x[i], ord_y[i], ord_w[i], b[i] = rows[i]
-
-    # skewness by the edge recursion along the dual tree: breadth first,
-    # so a parent's alpha is known before its children's
-    parent = extend_dual_tree({LINF: None}, cl)
-    children = {c: [] for c in comps}
-    for c in range(n):
-        children[parent[c]].append(c)
-    depth = {LINF: 0}
-    alpha = {LINF: Fraction(1)}
-    queue = [LINF]
-    for c in queue:
-        for nb in children[c]:
-            depth[nb] = depth[c] + 1
-            alpha[nb] = alpha[c] - Fraction(1, b[c] * b[nb])
-            queue.append(nb)
-
-    thin = {LINF: Fraction(-2)}
-    for i in range(n):
-        thin[i] = Fraction(1 + ord_w[i], b[i])
-
-    # the identity alpha = (dual . dual) / b^2 is not re-verified here;
-    # it needs the O(n^3) inverse of the intersection matrix, and the
-    # randomized consistency checks cover it
-    return GeometryTable(comps, inter, ord_x, ord_y, ord_w,
-                         b, alpha, thin, parent, depth)
+    return GeometryTable(comps, inter, rows,
+                         extend_dual_tree({LINF: None}, cl))
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +589,7 @@ def _strict_memo(cl: Cluster, P: dict):
 def ord_along_path(cl: Cluster, node: int, P: dict) -> dict:
     """ord_E(P) for every divisor E on the center path of ``node``.
 
-    Independent of build_geometry's x/y bookkeeping: propagates the strict
+    Independent of the rows' x/y bookkeeping: propagates the strict
     transform of P itself through the charts.  The transforms are kept on
     the cluster, so a query continues from the deepest node already
     reached, and P costs one transform per node of the cluster however
@@ -612,7 +622,7 @@ def eval_divisorial(cl: Cluster, node: int, P: dict) -> Fraction:
     needed; the answer is an exact rational.
     """
     ords = ord_along_path(cl, node, P)
-    return Fraction(ords[node], cl.geometry().b[node])
+    return Fraction(ords[node], cl.rows()[node].b)
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +679,12 @@ def weight_chain(base: PointAtInfinity, a: int, b: int) -> Cluster:
 
 def segment_point_key(cl: Cluster, hi, lo, alpha):
     """Path key of the divisorial of skewness ``alpha`` on the dual edge
-    from ``hi`` down to its child ``lo`` in the geometry of ``cl``, for
+    from ``hi`` down to its child ``lo`` in the dual tree of ``cl``, for
     alpha[hi] > alpha > alpha[lo].
 
-    Adjacent divisors meet at one satellite point.  It lies on the
-    younger end y of the edge, the end whose axes hold the other end o
-    (LINF is always the older end), and it is y's SatU child when o is
-    y's u-axis, its SatV child otherwise.  The divisorials on the edge are
+    Adjacent divisors meet at one satellite point, whose u-axis is hi and
+    v-axis lo (see ``extend_dual_tree``): lo's SatU child when hi is lo's
+    u-axis, and else hi's SatV child.  The divisorials on the edge are
     the monomial valuations at that point (Favre-Jonsson, *The Valuative
     Tree*, LNM 1853): with coprime local weights w_hi, w_lo on the
     equations of E_hi and E_lo, b = w_hi b_hi + w_lo b_lo,
@@ -685,22 +694,18 @@ def segment_point_key(cl: Cluster, hi, lo, alpha):
     those weights with its v-axis already a boundary, capped by
     ``MAX_CHAIN_STEPS``.
     """
-    g = cl.geometry()
     alpha = _q(alpha)
-    if lo == LINF or g.parent[lo] != hi or \
-            not g.alpha[hi] > alpha > g.alpha[lo]:
+    r = cl.rows()
+    if lo == LINF or extend_dual_tree({LINF: None}, cl)[lo] != hi or \
+            not r[hi].alpha > alpha > r[lo].alpha:
         raise PreconditionViolated("skewness must lie strictly inside a "
                                    "dual edge")
-    young, old = (lo, hi) if hi == LINF or hi in cl.axes[lo] else (hi, lo)
-    ratio = (g.b[hi] * (g.alpha[hi] - alpha)) / \
-        (g.b[lo] * (alpha - g.alpha[lo]))
-    w = {lo: ratio.numerator, hi: ratio.denominator}
-    if old == cl.axes[young][0]:
-        sat, a, b = SatU(), w[old], w[young]
-    else:
-        sat, a, b = SatV(), w[young], w[old]
-    base, steps = cl.key(young)
-    return base, steps + (sat,) + tuple(weight_chain_steps(a, b, True))
+    ratio = (r[hi].b * (r[hi].alpha - alpha)) / \
+        (r[lo].b * (alpha - r[lo].alpha))
+    node, sat = (lo, SatU()) if cl.axes[lo][0] == hi else (hi, SatV())
+    base, steps = cl.key(node)
+    return base, steps + (sat,) + tuple(weight_chain_steps(
+        ratio.denominator, ratio.numerator, True))
 
 
 def monomial_to_node(s, t):

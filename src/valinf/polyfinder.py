@@ -86,7 +86,7 @@ def _divisorial_rows(v: Divisorial, monomials, d: int, strict: bool) -> list:
     # ord_E(P) = mult(F) - d * ord_E(u) for F the total transform of
     # u^d P at the blown-up center and u the local equation of the line
     # at infinity, whose ord_E(u) = -min(ord_E x, ord_E y) is b_E
-    need = d * cl.geometry().b[node] + (1 if strict else 0)
+    need = d * cl.rows()[node].b + (1 if strict else 0)
     # the total transform is linear in the unknowns: push each monomial
     # through the charts alone, discarding terms at or above the threshold
     # as they appear (total degree never decreases under a blowup)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cluster import root_path, tree_lca
 from .errors import (IndeterminateForm, InternalMismatch, PreconditionViolated,
                      SkewnessTooHigh)
 from .exact import Ext, NEG_INF, _q, ext_sum
@@ -137,19 +138,10 @@ class FiniteTree:
         return [j for j in range(len(self)) if self.parent[j] == i]
 
     def root_path(self, i):
-        path = []
-        while i is not None:
-            path.append(i)
-            i = self.parent[i]
-        path.reverse()
-        return path
+        return root_path(self.parent, i)
 
     def lca(self, i, j):
-        pi, pj = self.root_path(i), self.root_path(j)
-        k = 0
-        while k < min(len(pi), len(pj)) and pi[k] == pj[k]:
-            k += 1
-        return pi[k - 1]
+        return tree_lca(self.parent, i, j)
 
     def green(self, i, j) -> Ext:
         """alpha of the meet of vertices i and j (allows -inf leaves)."""

@@ -13,9 +13,9 @@ from functools import lru_cache
 from math import ceil, lcm
 
 from . import poly
-from .cluster import (BranchWalk, Free, PathTrie, PointAtInfinity,
+from .cluster import (LINF, BranchWalk, Free, PathTrie, PointAtInfinity,
                       PuiseuxBranch, base_strict_series, chain_cluster,
-                      segment_point_key)
+                      extend_dual_tree, root_path, segment_point_key)
 from .errors import (InsufficientTruncation, InternalMismatch,
                      NeedsFieldExtension, PreconditionViolated,
                      PrecisionExceeded, ZeroOrConstant)
@@ -294,7 +294,8 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
     InsufficientTruncation if the centers it certifies fall short.
 
     Cost: one walk of the branch, on one ``BranchWalk`` and one
-    ``PathTrie`` whose rounds transform only their new nodes; an answer
+    ``PathTrie`` whose rounds transform only their new nodes, and no
+    geometry, since the rows and the dual tree suffice; an answer
     inside an edge adds a chain cluster of the younger end's path, the
     edge's satellite point and at most ``MAX_CHAIN_STEPS`` centers more.
     """
@@ -314,22 +315,22 @@ def divisorial_on_segment(branch: PuiseuxBranch, alpha) -> Divisorial:
             steps, short = walk.steps(walk.depth), True
         # one chain: node k is the center after k steps
         cl, _ = trie.add([(branch.base, steps)])
-        g = cl.geometry()
+        rows = cl.rows()
         end = max((k for k, st in enumerate(steps) if isinstance(st, Free)),
                   default=None)
-        if end is not None and g.alpha[end] <= alpha:
+        if end is not None and rows[end].alpha <= alpha:
             break
         if short:
             walk.steps(depth)           # raises the walk's error again
         depth += 8
         if end is not None:
             depth = max(depth, end + 2 + ceil(
-                (g.alpha[end] - alpha) * g.b[end] ** 2))
-    path = g.dual_path(end)
+                (rows[end].alpha - alpha) * rows[end].b ** 2))
+    path = root_path(extend_dual_tree({LINF: None}, cl), end)
     for hi, lo in zip(path, path[1:]):
-        if g.alpha[lo] == alpha:
+        if rows[lo].alpha == alpha:
             return Divisorial(cl, lo)
-        if g.alpha[lo] < alpha:
+        if rows[lo].alpha < alpha:
             base, steps = segment_point_key(cl, hi, lo, alpha)
             return Divisorial(chain_cluster(base, steps), len(steps))
 

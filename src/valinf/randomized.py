@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV, LINF,
+from .cluster import (Cluster, Free, Node, PointAtInfinity, SatU, SatV,
                       _extend_axes)
 
 BASES = [PointAtInfinity("y"), PointAtInfinity("x", Fraction(0)),
@@ -60,29 +60,29 @@ def incomparable_nodes(cl: Cluster, rng: random.Random, want=4) -> list:
 def check_cluster_consistency(cl: Cluster) -> list:
     """Independent geometric identities; returns a list of failures.
 
-    For every node, the skewness from the edge recursion must equal the
-    normalized dual self-intersection; for every pair, the dual pairing
-    must equal b_i b_j times the skewness of the meet; thinness must
-    increase strictly along dual root paths.
+    For every node, the skewness on its row must equal the normalized
+    dual self-intersection; for every pair, the dual pairing must equal
+    b_i b_j times the skewness of the meet; thinness must increase and
+    skewness decrease strictly along dual root paths.
     """
     g = cl.geometry()
+    rows = g.rows
     bad = []
     n = len(cl)
     for i in range(n):
-        if g.alpha[i] != g.check_dual(i, i) / Fraction(g.b[i] ** 2):
+        if rows[i].alpha != g.check_dual(i, i) / Fraction(rows[i].b ** 2):
             bad.append(f"alpha mismatch at node {i}")
     for i in range(n):
         for j in range(i + 1, n):
-            lca = g.lca(i, j)
-            a = g.alpha[lca] if lca != LINF else Fraction(1)
-            if g.check_dual(i, j) != g.b[i] * g.b[j] * a:
+            a = rows[g.lca(i, j)].alpha
+            if g.check_dual(i, j) != rows[i].b * rows[j].b * a:
                 bad.append(f"pairing mismatch at nodes {i},{j}")
     for i in range(n):
         path = g.dual_path(i)
         for a, b in zip(path, path[1:]):
-            if not g.thin[a] < g.thin[b]:
+            if not rows[a].thin < rows[b].thin:
                 bad.append(f"thinness not increasing at {a}->{b}")
-            if not g.alpha[a] > g.alpha[b]:
+            if not rows[a].alpha > rows[b].alpha:
                 bad.append(f"skewness not decreasing at {a}->{b}")
     return bad
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from .errors import (KernelDimensionNotOne, NonPositiveKernel,
                      PreconditionViolated, SingularSystem)
-from .exact import Ext, NEG_INF, SymMatrixExt, chi_det, ext_sum, solve_linear
+from .exact import Ext, SymMatrixExt, chi_det, ext_sum, solve_linear
 from .potential import DiscreteMeasure, measure
-from .valuations import (Comparison, Divisorial, Hull, Monomial, ROOT,
-                         compare, equal, skewness, thinness)
+from .valuations import (Comparison, Curve, Divisorial, Hull, Monomial, ROOT,
+                         compare, equal, thinness)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def reduce_with_report(S: ValuationSet):
             minimal.append((name, v))
     final = []
     for name, v in minimal:
-        if skewness(v) == NEG_INF:
+        if isinstance(v, Curve):
             report[name] = ("curve-type", None)
         else:
             report[name] = ("kept", None)
@@ -90,7 +90,7 @@ def matrix_alpha(S: ValuationSet) -> SymMatrixExt:
     """[alpha(v_i ^ v_j)]; built on the set as given, no reduction.
 
     Every entry is read off one ``Hull`` of S.  Cost: one trie, one walk
-    per curve, one geometry, then O(1) per entry.
+    per curve, the rows of its nodes, then O(1) per entry.
     """
     return SymMatrixExt(Hull(S.valuations).matrix())
 
@@ -102,8 +102,8 @@ def chi_of(S: ValuationSet) -> Ext:
     silently zero the determinant, so duplicates are dropped first: the
     elements that share an end node of one ``Hull`` of S with an earlier
     one.  The rows and columns of the rest are read off that hull's
-    ``matrix``.  Cost: one trie, one walk per curve, one geometry, O(1)
-    per entry, and the determinant.
+    ``matrix``.  Cost: one trie, one walk per curve, the rows of its
+    nodes, O(1) per entry, and the determinant.
     """
     hull = Hull(S.valuations)
     firsts = {}
@@ -126,7 +126,7 @@ def star_system(S: ValuationSet):
     """
     vs = list(S)
     for v in vs:
-        if skewness(v) == NEG_INF:
+        if isinstance(v, Curve):
             raise PreconditionViolated("star system needs finite skewness")
     M = matrix_alpha(S)
     n = len(vs)
@@ -148,12 +148,12 @@ def kernel_function(S: ValuationSet) -> DiscreteMeasure:
     Exists and is unique up to scale exactly when chi(S) = 0; normalized
     so its potential takes the value 1 at -deg.  The elements are checked
     pairwise incomparable on one ``Hull`` of S, and the matrix is read
-    off the same hull (one trie, one geometry, then O(1) per entry); one
-    kernel solve follows.
+    off the same hull (one trie, the rows of its nodes, then O(1) per
+    entry); one kernel solve follows.
     """
     vs = list(S)
     for v in vs:
-        if skewness(v) == NEG_INF:
+        if isinstance(v, Curve):
             raise PreconditionViolated("kernel function needs finite skewness")
     hull = Hull(vs)
     if any(hull.comparable(i, j)

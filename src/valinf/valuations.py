@@ -19,7 +19,8 @@ from math import lcm
 from . import poly
 from .cluster import (BranchWalk, Cluster, PathTrie, PuiseuxBranch,
                       PointAtInfinity, diverging_depths, eval_divisorial,
-                      extend_dual_tree, monomial_to_node, weight_chain, LINF)
+                      extend_dual_tree, monomial_to_node, tree_lca,
+                      weight_chain, LINF)
 from .errors import InsufficientTruncation, RootValuation
 from .exact import Ext, NEG_INF, POS_INF, _q
 from .series import LaurentSeries, PuiseuxSeries, powers
@@ -287,16 +288,6 @@ class _CurveClass:
         return BranchWalk(self.series)
 
 
-def _above(parent: dict, a, b) -> bool:
-    """Whether ``a`` is on the path from LINF to ``b`` in the dual tree
-    given by its ``parent`` map."""
-    while b is not None:
-        if b == a:
-            return True
-        b = parent[b]
-    return False
-
-
 class Hull:
     """One cluster that holds every element of a finite set of valuations.
 
@@ -324,10 +315,10 @@ class Hull:
     depth it is probed at added to the trie once for all targets.  The
     dual tree is read off the trie's nodes without a strict transform
     (``extend_dual_tree``), so ``equal`` is O(1) and ``comparable`` walks
-    up one dual path.  ``meet`` builds the geometry of the one cluster
+    up two dual paths.  ``meet`` builds the geometry of the one cluster
     and walks up two dual paths; ``matrix`` is one pass over the dual
-    tree, O(1) per entry, and builds the geometry only if an entry reads
-    a skewness other than LINF's.
+    tree, O(1) per entry, with the skewness on the rows of the cluster
+    (``Cluster.rows``).
     """
 
     def __init__(self, valuations):
@@ -384,7 +375,8 @@ class Hull:
                     depth = last + 2 * max(1, (deepest - last) // 2)
                     stride, grow = 2, False
                     continue
-                if not _above(parent, c.probed[depth], target):
+                end = c.probed[depth]
+                if tree_lca(parent, target, end) != end:
                     return depth
                 last, depth = depth, depth + stride
                 if grow:
@@ -435,9 +427,8 @@ class Hull:
         return self._parent
 
     def comparable(self, i: int, j: int) -> bool:
-        parent = self._dual_tree()
         a, b = self.ends[i], self.ends[j]
-        return _above(parent, a, b) or _above(parent, b, a)
+        return tree_lca(self._dual_tree(), a, b) in (a, b)
 
     def meet(self, i: int, j: int) -> Valuation:
         """The meet of elements i and j: ``ROOT`` at LINF, either of
@@ -453,8 +444,9 @@ class Hull:
 
         One pass up the dual tree, children before parents: elements at
         a component, or below two of its children, meet there.  Each
-        entry is written once.  The geometry is built only for the
-        skewness of a component other than LINF that some entry reads.
+        entry is written once, with the skewness on the component's row;
+        the rows are computed only if an entry reads a skewness other
+        than LINF's.
         """
         vs = self.valuations
         at = {}
@@ -479,7 +471,7 @@ class Hull:
             curve = own is not None and isinstance(vs[own[0]], Curve)
             if len(parts) > 1 or (own and not curve):
                 a = Ext(1) if u == LINF else \
-                    Ext(self.cluster.geometry().alpha[u])
+                    Ext(self.cluster.rows()[u].alpha)
             seen = []
             for part in parts:
                 for i in part:
@@ -507,7 +499,7 @@ def skewness(v: Valuation) -> Ext:
     if isinstance(v, Curve):
         return NEG_INF
     cl, node = v.realize()
-    return Ext(cl.geometry().alpha[node])
+    return Ext(cl.rows()[node].alpha)
 
 
 def thinness(v: Valuation) -> Ext:
@@ -516,7 +508,7 @@ def thinness(v: Valuation) -> Ext:
     if isinstance(v, Curve):
         return POS_INF
     cl, node = v.realize()
-    return Ext(cl.geometry().thin[node])
+    return Ext(cl.rows()[node].thin)
 
 
 def quasimonomial(base: PointAtInfinity, a: int, b: int) -> Divisorial:

@@ -8,8 +8,8 @@ from valinf import poly
 from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
                             PointAtInfinity, PuiseuxBranch, SatU, SatV,
                             base_strict_series, blowup_substitute,
-                            branch_steps, chain_cluster, eval_divisorial,
-                            merge_paths)
+                            branch_steps, build_geometry, chain_cluster,
+                            eval_divisorial, merge_paths, ord_along_path)
 from valinf.errors import (IndeterminateForm, InsufficientTruncation,
                            InternalMismatch, InvalidCluster,
                            NeedsFieldExtension, PreconditionViolated)
@@ -190,6 +190,62 @@ def dual_tree_by_adjacency(g) -> dict:
     if len(parent) != len(g.comps):
         raise InternalMismatch("dual graph is not connected")
     return parent
+
+
+def alpha_by_edge_recursion(cl: Cluster) -> dict:
+    """{component: (alpha, b, thinness)} of a cluster, as ``build_geometry``
+    found them before the rows held skewness.
+
+    b = -min(ord_E x, ord_E y) is read off ``ord_along_path``, and
+    ord_E(dx^dy) is that of the node's axes plus 1.  The skewness then
+    follows by the edge recursion alpha_c = alpha_p - 1/(b_p b_c) along
+    the dual tree of the intersection matrix, breadth first, so that a
+    parent's alpha is known before its children's."""
+    x, y = {(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}
+    b, ord_w = {LINF: 1}, {LINF: -3}
+    for i in range(len(cl)):
+        ua, va = cl.axes[i]
+        ord_w[i] = ord_w[ua] + (ord_w[va] if va is not None else 0) + 1
+        b[i] = -min(ord_along_path(cl, i, x)[i], ord_along_path(cl, i, y)[i])
+    parent = dual_tree_by_adjacency(build_geometry(Cluster(cl.nodes)))
+    children = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    alpha = {LINF: Fraction(1)}
+    queue = [LINF]
+    for c in queue:
+        for nb in children.get(c, ()):
+            alpha[nb] = alpha[c] - Fraction(1, b[c] * b[nb])
+            queue.append(nb)
+    return {c: (alpha[c], b[c], Fraction(1 + ord_w[c], b[c])) for c in alpha}
+
+
+def lca_by_depth(parent: dict, a, b):
+    """The lowest common ancestor in the tree of ``parent`` by the depth
+    walk ``GeometryTable.lca`` made before it shared the parent-map walk:
+    the depths from a breadth-first pass, the deeper end lifted to the
+    other's depth, then both lifted together."""
+    children = {}
+    for c, p in parent.items():
+        children.setdefault(p, []).append(c)
+    root, = children[None]
+    depth = {root: 0}
+    queue = [root]
+    for c in queue:
+        for nb in children.get(c, ()):
+            depth[nb] = depth[c] + 1
+            queue.append(nb)
+    da, db = depth[a], depth[b]
+    while da > db:
+        a = parent[a]
+        da -= 1
+    while db > da:
+        b = parent[b]
+        db -= 1
+    while a != b:
+        a = parent[a]
+        b = parent[b]
+    return a
 
 
 def solve_linear_by_fractions(A: Sequence[Sequence],
@@ -383,7 +439,7 @@ def divisorial_on_segment_by_probes(branch, alpha):
             cl = chain_cluster(branch.base, walk.steps(state["depth"]))
             g = cl.geometry()
             dp = g.dual_path(len(cl) - 1)
-            prof = [(Ext(g.alpha[n]), g.b[n]) for n in dp]
+            prof = [(Ext(g.rows[n].alpha), g.rows[n].b) for n in dp]
             state.update(profile=prof, cl=cl, path=dp)
             if prof[-1][0] < below:
                 return
@@ -497,7 +553,7 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
                     crossing = Divisorial(merged, n)
                     break
                 if vals[n] > 0:
-                    a0, a1 = g.alpha[prev], g.alpha[n]
+                    a0, a1 = g.rows[prev].alpha, g.rows[n].alpha
                     astar = a0 + (-vals[prev]) * (a1 - a0) / \
                         (vals[n] - vals[prev])
                     if materialize:

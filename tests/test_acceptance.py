@@ -59,7 +59,7 @@ def test_criterion_01_fourteen_blowups():
         assert len(cl) == 14
         g = cl.geometry()
         v = Divisorial(cl, 13)
-        assert g.alpha[13] == 0
+        assert g.rows[13].alpha == 0
         assert skewness(v) == Ext(0)
         c = classify(ValuationSet.of([v]), 8)
         assert c.delta != 2
@@ -183,7 +183,7 @@ def test_criterion_06_mondal_grid():
             assert a == Ext(-t)
             if -1 < t <= 1:
                 cl, node = v.realize()   # cluster oracle for the skewness
-                assert cl.geometry().alpha[node] == -t
+                assert cl.rows()[node].alpha == -t
             rich = chi_of(ValuationSet.of([v])) > Ext(0)
             assert rich == (a < Ext(0))
             witness = find_positive([v], 6)

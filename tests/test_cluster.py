@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import branch_to_nodes
+from oracles import alpha_by_edge_recursion, branch_to_nodes, lca_by_depth
 from randgen import random_path_batches
 from valinf.cluster import (MAX_CHAIN_STEPS, Cluster, Free, LINF, Node,
                             PathTrie, PointAtInfinity, SatU, SatV,
-                            branch_steps, build_geometry,
-                            chain_cluster, eval_divisorial, merge_paths,
-                            monomial_to_node, ord_along_path,
+                            branch_steps, chain_cluster, eval_divisorial,
+                            merge_paths, monomial_to_node, ord_along_path,
                             segment_point_key)
 from valinf.errors import (InvalidCluster, PreconditionViolated,
                            RootValuation, ZeroPolynomial)
@@ -29,30 +28,24 @@ PY = PointAtInfinity("y")
 def test_bare_plane():
     cl = Cluster([])
     g = cl.geometry()
-    assert g.alpha[LINF] == 1
-    assert g.thin[LINF] == -2
-    assert g.b[LINF] == 1
+    r = g.rows[LINF]
+    assert (r.alpha, r.thin, r.b) == (1, -2, 1)
     assert g.inter[(LINF, LINF)] == 1
     assert g.check_dual(LINF, LINF) == 1
 
 
 def test_one_free_blowup():
     cl = chain_cluster(PX0, [])
-    g = cl.geometry()
-    assert g.b[0] == 1
-    assert g.ord_x[0] == -1
-    assert g.ord_y[0] == 0
-    assert g.alpha[0] == 0
-    assert g.thin[0] == -1
-    assert g.check_dual(0, 0) == 0
+    r = cl.rows()[0]
+    assert (r.b, r.ord_x, r.ord_y, r.alpha, r.thin) == (1, -1, 0, 0, -1)
+    assert cl.geometry().check_dual(0, 0) == 0
 
 
 def test_two_free_chain():
     cl = chain_cluster(PX0, [Free(F(0))])
-    g = cl.geometry()
-    assert g.alpha[1] == -1
-    assert g.b[1] == 1
-    assert g.check_dual(1, 1) == -1
+    r = cl.rows()[1]
+    assert (r.alpha, r.b) == (-1, 1)
+    assert cl.geometry().check_dual(1, 1) == -1
 
 
 def test_eval_divisorial_basics():
@@ -67,13 +60,12 @@ def test_eval_divisorial_basics():
 def test_monomial_to_node_examples():
     cl, node = monomial_to_node(F(-1), F(0))
     assert len(cl) == 1 and node == 0
-    assert cl.geometry().b[0] == 1
+    assert cl.rows()[0].b == 1
 
     cl, node = monomial_to_node(F(-1), F(1))
     assert len(cl) == 2
-    g = cl.geometry()
-    assert g.ord_x[node] == -1 and g.ord_y[node] == 1
-    assert g.alpha[node] == -1
+    r = cl.rows()[node]
+    assert (r.ord_x, r.ord_y, r.alpha) == (-1, 1, -1)
 
     with pytest.raises(RootValuation):
         monomial_to_node(F(-1), F(-1))
@@ -82,15 +74,14 @@ def test_monomial_to_node_examples():
 def test_monomial_to_node_fractional_weights():
     # v_{-1,1/3} via the (3,4) weight chain: alpha = -1/3
     cl, node = monomial_to_node(F(-1), F(1, 3))
-    g = cl.geometry()
-    assert g.alpha[node] == F(-1, 3)
-    assert g.ord_x[node] == -3 and g.ord_y[node] == 1
+    r = cl.rows()[node]
+    assert (r.alpha, r.ord_x, r.ord_y) == (F(-1, 3), -3, 1)
     assert eval_divisorial(cl, node, {(0, 1): 1}) == F(1, 3)
     assert eval_divisorial(cl, node, {(1, 0): 1}) == -1
 
     # t = -1/2 sits above the root, alpha = 1/2
     cl, node = monomial_to_node(F(-1), F(-1, 2))
-    assert cl.geometry().alpha[node] == F(1, 2)
+    assert cl.rows()[node].alpha == F(1, 2)
 
 
 def test_weight_chain_length_is_capped():
@@ -117,17 +108,17 @@ def test_cusp_branch_steps():
 
 def test_cusp_geometry_table():
     cl, path = branch_to_nodes(PY, CUSP, 9)
-    g = cl.geometry()
+    rows = cl.rows()
     expect_alpha = [F(0), F(1, 2), F(2, 3), F(5, 9), F(4, 9),
                     F(3, 9), F(2, 9), F(1, 9), F(0)]
     expect_b = [1, 2, 3, 3, 3, 3, 3, 3, 3]
     expect_w = [-2, -4, -6, -5, -4, -3, -2, -1, 0]
     for i in range(9):
-        assert g.alpha[i] == expect_alpha[i]
-        assert g.b[i] == expect_b[i]
-        assert g.ord_w[i] == expect_w[i]
+        assert rows[i].alpha == expect_alpha[i]
+        assert rows[i].b == expect_b[i]
+        assert rows[i].ord_w == expect_w[i]
     # pencil divisor of y^2 - x^3
-    assert g.thin[8] == F(1, 3)
+    assert rows[8].thin == F(1, 3)
     assert eval_divisorial(cl, 8, {(0, 2): 1, (3, 0): -1}) == 0
     # v(Q) = -sum m_i alpha(v ^ v_{s_i}): here -3 * alpha(E2) = -2
     assert eval_divisorial(cl, 2, {(0, 2): 1, (3, 0): -1}) == -2
@@ -175,8 +166,8 @@ def test_alpha_monotone_and_thinness_increasing_on_dual_paths():
     g = cl.geometry()
     for comp in g.comps[1:]:
         p = g.parent[comp]
-        assert g.alpha[comp] < g.alpha[p]
-        assert g.thin[comp] > g.thin[p]
+        assert g.rows[comp].alpha < g.rows[p].alpha
+        assert g.rows[comp].thin > g.rows[p].thin
 
 
 def test_cluster_with_geometry_freed_without_gc():
@@ -219,12 +210,12 @@ Y = {(0, 1): F(1)}
 
 
 def assert_rows_match_strict_transforms(cl):
-    # build_geometry reads ord_x and ord_y off the strict transforms of x
-    # and y in its rows; ord_along_path propagates x and y themselves
-    g = build_geometry(cl)
+    # the rows read ord_x and ord_y off the strict transforms of x and y
+    # kept beside them; ord_along_path propagates x and y themselves
+    rows = cl.rows()
     for i in range(len(cl)):
-        assert g.ord_x[i] == ord_along_path(cl, i, X)[i]
-        assert g.ord_y[i] == ord_along_path(cl, i, Y)[i]
+        assert rows[i].ord_x == ord_along_path(cl, i, X)[i]
+        assert rows[i].ord_y == ord_along_path(cl, i, Y)[i]
 
 
 # (max_nodes, depth_cap, n_roots) of the clusters the benchmark workloads
@@ -259,13 +250,60 @@ def test_geometry_rows_match_ord_along_path(seed, n_roots):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_shared_geometry_rows_match_ord_along_path(seed):
-    # the clusters of one trie extend one list of rows round by round
+    # the clusters of one trie extend one table of rows round by round
     rng = random.Random(seed)
     trie = PathTrie()
     for batch in random_path_batches(rng, rng.randint(1, 5)):
         cl, _ = trie.add(batch)
         assert cl._rows is trie._rows
         assert_rows_match_strict_transforms(cl)
+
+
+def assert_rows_match_edge_recursion(cl):
+    rows = cl.rows()
+    want = alpha_by_edge_recursion(cl)
+    assert {c: (rows[c].alpha, rows[c].b, rows[c].thin) for c in want} \
+        == want
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2))
+def test_rows_match_the_edge_recursion(seed, n_roots):
+    # each node's skewness is read off the axis above it when it is
+    # added; the retired pass recurses down the whole dual tree
+    cl = random_cluster(random.Random(seed), max_nodes=30, n_roots=n_roots)
+    assert_rows_match_edge_recursion(cl)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_shared_rows_match_the_edge_recursion(seed):
+    # one trie's clusters share their rows; a later round's satellites
+    # move earlier nodes in the dual tree but leave their rows as they are
+    rng = random.Random(seed)
+    trie = PathTrie()
+    clusters = []
+    for batch in random_path_batches(rng, rng.randint(1, 5)):
+        cl, _ = trie.add(batch)
+        clusters.append(cl)
+        if rng.random() < 0.5:
+            assert_rows_match_edge_recursion(cl)
+    rng.shuffle(clusters)
+    for cl in clusters:
+        assert_rows_match_edge_recursion(cl)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2))
+def test_dual_walks_match_the_depth_walk(seed, n_roots):
+    cl = random_cluster(random.Random(seed), max_nodes=30, n_roots=n_roots)
+    g = cl.geometry()
+    for a in g.comps:
+        path = g.dual_path(a)
+        assert path[0] == LINF and path[-1] == a
+        assert all(g.parent[c] == p for p, c in zip(path, path[1:]))
+        for b in g.comps:
+            assert g.lca(a, b) == lca_by_depth(g.parent, a, b)
 
 
 def test_strict_memo_evicts_the_oldest_polynomial(monkeypatch):
@@ -308,9 +346,8 @@ def edge_point(cl, hi, lo, alpha):
     the dual path of lo, so inside the edge (hi, lo)."""
     key = segment_point_key(cl, hi, lo, alpha)
     merged, ends = merge_paths([cl.key(i) for i in range(len(cl))] + [key])
-    g = merged.geometry()
-    assert g.alpha[ends[-1]] == alpha
-    assert ends[-1] in g.dual_path(ends[lo])
+    assert merged.rows()[ends[-1]].alpha == alpha
+    assert ends[-1] in merged.geometry().dual_path(ends[lo])
     return key
 
 
@@ -330,23 +367,23 @@ def test_segment_point_on_an_edge_whose_younger_end_is_its_upper_end():
     # Free(0), then SatU: node 2 lies between the root and node 1 on the
     # dual path of node 1, and its axes hold node 1, its v-axis
     cl = chain_cluster(PY, [Free(F(0)), SatU()])
-    g = cl.geometry()
-    assert g.dual_path(1) == [LINF, 0, 2, 1]
+    assert cl.geometry().dual_path(1) == [LINF, 0, 2, 1]
+    a = {c: r.alpha for c, r in cl.rows().items()}
     hi, lo = 2, 1
     for k in range(1, 6):
-        alpha = g.alpha[hi] + (g.alpha[lo] - g.alpha[hi]) * F(k, 6)
+        alpha = a[hi] + (a[lo] - a[hi]) * F(k, 6)
         key = edge_point(cl, hi, lo, alpha)
         assert key[1][:3] == (Free(F(0)), SatU(), SatV())
     # the other edge of node 2, to the root, is its u-axis
-    alpha = (g.alpha[0] + g.alpha[2]) / 2
+    alpha = (a[0] + a[2]) / 2
     assert edge_point(cl, 0, 2, alpha)[1][:3] == (Free(F(0)), SatU(), SatU())
 
 
 def test_segment_point_needs_a_point_strictly_inside_an_edge():
     cl = chain_cluster(PY, [Free(F(0)), SatU()])
-    g = cl.geometry()
-    for hi, lo, alpha in [(2, 1, g.alpha[2]), (2, 1, g.alpha[1]),
-                          (0, 1, (g.alpha[0] + g.alpha[1]) / 2),
+    a = {c: r.alpha for c, r in cl.rows().items()}
+    for hi, lo, alpha in [(2, 1, a[2]), (2, 1, a[1]),
+                          (0, 1, (a[0] + a[1]) / 2),
                           (2, LINF, F(1, 2)), (2, 1, F(5))]:
         with pytest.raises(PreconditionViolated):
             segment_point_key(cl, hi, lo, alpha)
@@ -363,5 +400,6 @@ def test_segment_points_subdivide_their_edges(seed):
     hi, lo = path[k], path[k + 1]
     n = rng.randint(2, 7)
     t = F(rng.randrange(1, n), n)
-    alpha = g.alpha[hi] + (g.alpha[lo] - g.alpha[hi]) * t
+    a = {c: r.alpha for c, r in cl.rows().items()}
+    alpha = a[hi] + (a[lo] - a[hi]) * t
     edge_point(cl, hi, lo, alpha)

@@ -257,27 +257,27 @@ def builds_and_meets(S):
     return M, len(builds), len(meets)
 
 
-def test_matrix_alpha_builds_one_geometry_and_meets_nothing():
+def test_matrix_alpha_builds_no_geometry_and_meets_nothing():
     rng = random.Random(3)
     vs = random_divisorial_set(rng, 5) + [
         ROOT, Monomial(F(-1), F(1, 2)), Monomial(F(2), F(-1)),
         Monomial(F(-1), F(1, 2))]
     S = ValuationSet.of(vs)
     M, builds, meets = builds_and_meets(S)
-    assert (builds, meets) == (1, 0)
+    assert (builds, meets) == (0, 0)
     assert M.entries == matrix_alpha_by_meets(S).entries
 
 
 def test_curves_are_deepened_without_a_geometry_per_probe():
     """Curves beside divisorials at their point of L-infinity, and beside
-    each other: one geometry still."""
+    each other: no geometry still, since the matrix reads the rows."""
     py = PointAtInfinity("y")
     curves = [Curve(b) for text in ("y^2-x^3", "(y-x^2)*(y-x^2-1)")
               for b, _ in weighted_branches(poly.parse(text))]
     S = ValuationSet.of(curves + [quasimonomial(py, 2, 3),
                                   quasimonomial(py, 1, 4), ROOT])
     M, builds, meets = builds_and_meets(S)
-    assert (builds, meets) == (1, 0)
+    assert (builds, meets) == (0, 0)
     assert M.entries == matrix_alpha_by_meets(S).entries
 
 

@@ -39,12 +39,14 @@ F = Fraction
 PY = PointAtInfinity("y")
 derandomized = settings(derandomize=True, max_examples=80, deadline=None)
 
-FIELDS = ("comps", "inter", "ord_x", "ord_y", "ord_w", "b", "alpha", "thin",
-          "parent", "depth")
+FIELDS = ("comps", "inter", "parent")
 
 
 def table(g):
-    return {f: getattr(g, f) for f in FIELDS}
+    """A geometry as data: its pairwise fields and the rows of its
+    components (the rows that a trie shares may run past them)."""
+    return {**{f: getattr(g, f) for f in FIELDS},
+            "rows": [g.rows[c] for c in g.comps]}
 
 
 polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -114,10 +116,11 @@ def test_trie_clusters_match_fresh_builds(seed, ps):
 
 
 def test_one_shot_clusters_keep_no_rows():
+    # once its rows cover its nodes, a cluster holds no strict transform
     cl, _ = merge_paths([(PY, (Free(F(1)), SatU())), (PY, (Free(F(2)),))])
-    assert cl._rows == []
+    assert cl._xy == []
     cl.geometry()
-    assert cl._rows is None
+    assert cl._xy is None and len(cl._rows) == len(cl) + 1
 
 
 # ---------------------------------------------------------------------------

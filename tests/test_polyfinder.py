@@ -67,7 +67,7 @@ class TestConditions:
             vec = [P.get(m, F(0)) for m in monomials]
             satisfied = all(
                 sum(c * e for c, e in zip(row, vec)) == 0 for row in cs.rows)
-            b = cl.geometry().b[node]
+            b = cl.rows()[node].b
             assert satisfied == (evaluate(v, P) >= Ext(F(1, b)))
 
 

@@ -266,7 +266,7 @@ class TestDivisorialOnSegment:
         cl = chain_cluster(b.base, branch_steps(b.base, b.series, 8))
         g = cl.geometry()
         for n in g.dual_path(7)[1:]:
-            d = divisorial_on_segment(b, g.alpha[n])
+            d = divisorial_on_segment(b, g.rows[n].alpha)
             assert path_key(d) == cl.key(n)
             assert d.node in d.cluster.geometry().dual_path(len(d.cluster) - 1)
 

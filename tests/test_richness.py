@@ -111,7 +111,7 @@ class TestMatrixAndChi:
             for i, ni in enumerate(nodes):
                 for j, nj in enumerate(nodes):
                     assert g.check_dual(ni, nj) == \
-                        g.b[ni] * g.b[nj] * M.entries[i][j].q
+                        g.rows[ni].b * g.rows[nj].b * M.entries[i][j].q
 
 
 class TestStarSystem:

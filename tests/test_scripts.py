@@ -63,11 +63,12 @@ def test_laplacian_rounds_prints_one_json_line_per_polynomial():
         "y^3-x^4+1/2", "y^2-x^5+x^3*y", "(y^2-x^3)*(y^2-x^3-x^2*y)"]
     # one divergence per pair of branches at one point of L-infinity and
     # Q never evaluated (the rounds evaluated it 15, 17 and 31 times); the
-    # walks and geometry builds are those of the hull of the branches and
-    # of one segment search per branch
+    # walks and rows are those of the hull of the branches and of one
+    # segment search per branch, and neither builds a geometry
     assert [(r["branches"], r["meets"], r["center_steps"],
-             r["build_geometry"], r["eval_divisorial"]) for r in rows] == \
-        [(1, 0, 16, 2, 0), (2, 1, 27, 4, 0), (3, 1, 43, 6, 0)]
+             r["build_geometry"], r["rows"], r["eval_divisorial"])
+            for r in rows] == \
+        [(1, 0, 16, 0, 17, 0), (2, 1, 27, 0, 29, 0), (3, 1, 43, 0, 46, 0)]
     assert all(r["seconds"] >= 0 for r in rows)
 
 
@@ -85,7 +86,7 @@ def test_witness_degrees_counts_the_baseline_solves():
 
 
 
-def test_set_scale_reads_the_matrix_off_one_geometry():
+def test_set_scale_reads_the_matrix_off_the_rows():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "scripts/set_scale.py", "4", "8"],
@@ -94,9 +95,11 @@ def test_set_scale_reads_the_matrix_off_one_geometry():
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["n"] for r in rows] == [4, 8]
     # the antichain is reduced by pairwise compares, then chi is read
-    # off one hull
-    assert [r["chi_of_build_geometry"] for r in rows] == [1, 1]
+    # off the rows of one hull of its 4n + 1 nodes, with no geometry
+    assert [(r["chi_of_build_geometry"], r["chi_of_rows"]) for r in rows] \
+        == [(0, 17), (0, 33)]
     assert all(r["build_geometry"] > 1 for r in rows)
+    assert all(r["rows"] > r["chi_of_rows"] for r in rows)
     assert all(r[k] >= 0 for r in rows for k in
                ("classify_s", "reduce_with_report_s", "chi_of_s",
                 "chi_det_s"))

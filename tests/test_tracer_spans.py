@@ -51,6 +51,9 @@ def test_tracer_extras_accept_what_the_library_passes(tmp_path, capsys):
         t.active = True
         assert cli.main(["chi", "-f", str(path), "c1", "m0", "root"]) == 0
         assert cli.main(["classify", "-f", str(path), "m0", "root"]) == 0
+        # chi and classify read the rows and invert no intersection
+        # matrix; the consistency check builds geometries and inverts
+        assert cli.main(["oracle-check", "--count", "2"]) == 0
     finally:
         t.active = False
         t.uninstall()
@@ -58,6 +61,8 @@ def test_tracer_extras_accept_what_the_library_passes(tmp_path, capsys):
     assert t.calls["exact.chi_det"] >= 2
     assert t.counters["exact.chi_det.max_n"] == 3
     assert t.calls["richness.classify"] == 1
+    assert t.counters["cluster.GeometryTable.minv.max_nodes"] > 0
+    assert t.counters["cluster.build_geometry.nodes"] > 0
     assert patched
     for owner, attr, orig in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) \
