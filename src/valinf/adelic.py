@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import poly
-from .errors import (DomainError, InsufficientTruncation, Undecidable,
-                     WitnessNotFound)
+from .errors import (DomainError, InsufficientTruncation, InternalMismatch,
+                     Undecidable, WitnessNotFound)
 from .exact import rational_root
 from .valuations import Curve, equal
 
@@ -125,7 +125,6 @@ class PointReport:
     included: bool
     value: Fraction | None
     detail: dict = field(default_factory=dict)   # place -> explanation
-    warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -215,7 +214,7 @@ def algebraize(branches, points, max_degree: int) -> AlgebraizeReport:
     else:
         for r in reports:
             if r.included and poly.eval_at(curve, *r.point) != 0:
-                raise AssertionError("retained point misses the curve")
+                raise InternalMismatch("retained point misses the curve")
         verdicts = _branches_match(curve, branches)
     return AlgebraizeReport(witness=P, values=T, curve=curve,
                             points=reports, branch_verdicts=verdicts,

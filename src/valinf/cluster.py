@@ -14,19 +14,22 @@ which the point is the origin.  Blowing up gives chart 1 with
 exceptional divisor is the u-axis of chart 1 and the v-axis of chart 2.
 Free children are parametrized by the v1-coordinate in chart 1; the
 chart-2 origin is reachable only as a satellite on the previous u-axis.
+The base charts are encoded once, in ``base_strict_series``, and every
+chart substitution relabels exponents, then runs ``taylor_shift``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import lru_cache
+from math import comb, gcd
 from typing import NamedTuple
 
 from . import poly
 from .errors import (InsufficientTruncation, InvalidCluster,
                      InternalMismatch, PreconditionViolated, RootValuation)
-from .exact import _q, invert_matrix
+from .exact import _q, integer_numerators, invert_matrix
 from .series import LaurentSeries, PuiseuxSeries
 
 LINF = "linf"
@@ -311,25 +314,47 @@ def merge_paths(paths):
 # ---------------------------------------------------------------------------
 
 
+def taylor_shift(F: dict, c, order=None) -> dict:
+    """F(u, v + c) for F = {(i, j): coefficient} and a rational c, less
+    zero sums and terms of total degree >= ``order`` (when given).
+
+    In integers over the denominator D q^J, for F's least common
+    denominator D, c = p/q and degrees j <= J in v: q^J (v + c)^j is the
+    sum over t of C(j, t) p^(j-t) q^(J-j+t) v^t.
+    """
+    if not c:
+        return {k: a for k, a in F.items()
+                if a and (order is None or k[0] + k[1] < order)}
+    p, q = c.numerator, c.denominator
+    nums, D = integer_numerators(F.values())
+    J = max((j for _, j in F), default=0)
+    out = {}
+    rows = {}               # j -> q^J times the coefficients of (v + c)^j
+    for (i, j), n in zip(F, nums):
+        row = rows.get(j)
+        if row is None:
+            row = rows[j] = [comb(j, t) * p ** (j - t) * q ** (J - j + t)
+                             for t in range(j + 1)]
+        top = j + 1 if order is None else min(j + 1, order - i)
+        for t in range(top):
+            key = (i, t)
+            out[key] = out.get(key, 0) + n * row[t]
+    den = D * q ** J
+    return {k: Fraction(n, den) for k, n in out.items() if n}
+
+
 def base_strict_series(base: PointAtInfinity, P: dict, deg: int) -> dict:
     """Local equation u^deg * P at the base point, as an exact polynomial.
 
-    P is {(i, j): coefficient} for x^i y^j; deg its total degree.
+    P is {(i, j): coefficient} for x^i y^j; deg its total degree.  In
+    chart x, x = 1/u and y = (v - c)/u, so u^deg x^i y^j is
+    u^(deg-i-j) (v - c)^j; in chart y, x = v/u and y = 1/u give
+    u^(deg-i-j) v^i.
     """
-    out = {}
     if base.chart == "x":
-        # x = 1/u, y = (v - c)/u  =>  u^d x^i y^j = u^(d-i-j) (v - c)^j
-        for (i, j), c in P.items():
-            for k in range(j + 1):
-                coef = c * comb(j, k) * (-base.c) ** (j - k)
-                key = (deg - i - j, k)
-                out[key] = out.get(key, Fraction(0)) + coef
-    else:
-        # x = v/u, y = 1/u  =>  u^d x^i y^j = u^(d-i-j) v^i
-        for (i, j), c in P.items():
-            key = (deg - i - j, i)
-            out[key] = out.get(key, Fraction(0)) + c
-    return {k: c for k, c in out.items() if c}
+        return taylor_shift({(deg - i - j, j): a for (i, j), a in P.items()},
+                            -base.c)
+    return taylor_shift({(deg - i - j, i): a for (i, j), a in P.items()}, 0)
 
 
 def blowup_substitute(F: dict, step, order=None) -> dict:
@@ -340,34 +365,12 @@ def blowup_substitute(F: dict, step, order=None) -> dict:
     (when given) are dropped; total degree never decreases.
     """
     if isinstance(step, SatU):
-        out = {(i, i + j): c for (i, j), c in F.items()}
-    elif isinstance(step, SatV) or (isinstance(step, Free) and step.c == 0):
-        out = {(i + j, j): c for (i, j), c in F.items()}
-    elif isinstance(step, Free):
-        # integer arithmetic over the common denominator den = D q^J, for
-        # F's denominators dividing D, c = p/q and degrees j <= J in v
-        p, q = step.c.numerator, step.c.denominator
-        D = lcm(*(a.denominator for a in F.values()))
-        J = max((j for _, j in F), default=0)
-        out = {}
-        rows = {}               # j -> q^J times the coefficients of (v + c)^j
-        for (i, j), a in F.items():
-            row = rows.get(j)
-            if row is None:
-                row = rows[j] = [comb(j, t) * p ** (j - t) * q ** (J - j + t)
-                                 for t in range(j + 1)]
-            n = a.numerator * (D // a.denominator)
-            top = j + 1 if order is None else min(j + 1, order - i - j)
-            for t in range(top):
-                key = (i + j, t)
-                out[key] = out.get(key, 0) + n * row[t]
-        den = D * q ** J
-        return {k: Fraction(c, den) for k, c in out.items()
-                if c and (order is None or k[0] + k[1] < order)}
-    else:
+        return taylor_shift({(i, i + j): a for (i, j), a in F.items()}, 0,
+                            order)
+    if not isinstance(step, (Free, SatV)):
         raise InvalidCluster(f"unknown step {step!r}")
-    return {k: c for k, c in out.items()
-            if c and (order is None or k[0] + k[1] < order)}
+    return taylor_shift({(i + j, j): a for (i, j), a in F.items()},
+                        step.c if isinstance(step, Free) else 0, order)
 
 
 def mult(F: dict) -> int:
@@ -468,6 +471,14 @@ class GeometryTable:
         return root_path(self.parent, comp)
 
 
+@lru_cache(maxsize=64)
+def _root_xy(base: PointAtInfinity) -> tuple:
+    """u x and u y at a base point (``base_strict_series``), kept since
+    each new ``PathTrie`` starts from them; no caller changes them."""
+    return tuple(base_strict_series(base, {e: Fraction(1)}, 1)
+                 for e in ((1, 0), (0, 1)))
+
+
 def _extend_rows(rows: dict, xy: list, cl: Cluster):
     """Put in ``rows`` the ``Row`` of each node of ``cl`` past it, and in
     ``xy`` the strict transforms of x and y at its center.
@@ -484,14 +495,7 @@ def _extend_rows(rows: dict, xy: list, cl: Cluster):
     for i in range(len(rows) - 1, len(cl)):
         nd = cl.nodes[i]
         if nd.parent == -1:
-            if nd.base.chart == "x":
-                fx = {(0, 0): Fraction(1)}
-                fy = {(0, 1): Fraction(1)}
-                if nd.base.c:
-                    fy[(0, 0)] = -nd.base.c
-            else:
-                fx = {(0, 1): Fraction(1)}
-                fy = {(0, 0): Fraction(1)}
+            fx, fy = _root_xy(nd.base)
         else:
             pfx, pfy = xy[nd.parent]
             fx = step_transform(pfx, nd.step, mult(pfx))

@@ -28,6 +28,15 @@ def _q(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
+def integer_numerators(values) -> tuple:
+    """(numerators, D) with values[k] = numerators[k] / D, for the
+    Fractions or ints ``values`` and D their least common denominator
+    (1 when there are none)."""
+    values = list(values)
+    D = lcm(*(a.denominator for a in values))
+    return [a.numerator * (D // a.denominator) for a in values], D
+
+
 def _iroot(n: int, m: int):
     """(r, exact): r = floor(n^(1/m)) for integers n >= 0 and m >= 1,
     exact iff r^m = n; Newton's iteration from above 2^ceil(bits / m)."""
@@ -266,9 +275,8 @@ def _integer_rows(A: Sequence[Sequence]):
             rows.append(list(row))
             scales.append(1)
             continue
-        row = [_q(e) for e in row]
-        s = lcm(*(e.denominator for e in row))
-        rows.append([e.numerator * (s // e.denominator) for e in row])
+        nums, s = integer_numerators(map(_q, row))
+        rows.append(nums)
         scales.append(s)
     return rows, scales
 

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .errors import PolynomialSyntaxError, ZeroPolynomial
-from .exact import _q
+from .exact import _q, integer_numerators
 
 
 def normalize(P: dict) -> dict:
@@ -114,8 +114,8 @@ def _power_bits(P: dict, e: int) -> int:
     """A bound on the bits of the numerators and the denominator of P^e:
     with D the common denominator of P, the coefficients of (D P)^e sum to
     at most (sum |D c|)^e in absolute value."""
-    D = lcm(*(c.denominator for c in P.values()))
-    N = sum(abs(c.numerator) * (D // c.denominator) for c in P.values())
+    nums, D = integer_numerators(P.values())
+    N = sum(map(abs, nums))
     return e * max(N.bit_length(), D.bit_length())
 
 
@@ -255,12 +255,11 @@ def power(P: dict, e: int) -> dict:
 def _rows(P: dict) -> list:
     """An integer multiple of P as ``factor``'s rows: by powers of x, the
     coefficients of the powers of y."""
-    D = lcm(*(c.denominator for c in P.values()))
     rows = [[] for _ in range(max(i for i, _ in P) + 1)]
-    for (i, j), c in P.items():
+    for (i, j), n in zip(P, integer_numerators(P.values())[0]):
         row = rows[i]
         row.extend([0] * (j + 1 - len(row)))
-        row[j] = c.numerator * (D // c.denominator)
+        row[j] = n
     return rows
 
 

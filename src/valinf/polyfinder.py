@@ -17,7 +17,7 @@ from . import poly
 from .cluster import base_strict_series, blowup_substitute
 from .errors import (InsufficientTruncation, InternalMismatch,
                      PreconditionViolated)
-from .exact import Ext, solve_linear
+from .exact import Ext, integer_numerators, solve_linear
 from .series import LaurentSeries, powers
 from .valuations import (Curve, Divisorial, Monomial, Root, Valuation,
                          branch_xy_series, evaluate)
@@ -156,16 +156,11 @@ def valuation_conditions(v: Valuation, d: int, strict: bool,
 def _canonical(vec, monomials) -> dict:
     """Integer-normalized polynomial with positive graded-lex leading term."""
     P = {m: c for m, c in zip(monomials, vec) if c}
-    den = 1
-    for c in P.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in P.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
-    lead = max(P, key=poly.monomial_key)
-    sign = 1 if P[lead] > 0 else -1
-    return {m: Fraction(sign * c.numerator * (den // c.denominator), num)
-            for m, c in P.items()}
+    nums, _ = integer_numerators(P.values())
+    g = gcd(*nums)
+    if P[max(P, key=poly.monomial_key)] < 0:
+        g = -g
+    return {m: Fraction(n, g) for m, n in zip(P, nums)}
 
 
 def _pick_kernel_element(kernel, monomials) -> dict | None:

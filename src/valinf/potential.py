@@ -274,10 +274,16 @@ def dirichlet(rho: DiscreteMeasure, sigma: DiscreteMeasure) -> Ext:
     pts, n = _Points([p for p, _ in rho.atoms + sigma.atoms]), len(rho.atoms)
     terms = [Ext(rho.atoms[i][1] * m) * pts.green(i, j) for i in range(n)
              for j, (_, m) in enumerate(sigma.atoms, n)]
+    return _pairing(terms, rho.is_positive() and sigma.is_positive())
+
+
+def _pairing(terms: list, positive: bool) -> Ext:
+    """The sum of the mass-weighted Green ``terms`` of two measures.  An
+    infinite term is an endpoint self-pairing: -inf when both measures
+    are ``positive``, and IndeterminateForm otherwise."""
     if all(t.kind == 0 for t in terms):
         return ext_sum(terms)
-    if rho.is_positive() and sigma.is_positive():
-        # endpoint self-pairings of a positive measure: -inf is allowed
+    if positive:
         return NEG_INF
     raise IndeterminateForm(
         "signed pairing with an endpoint atom is not square-integrable")
@@ -316,12 +322,8 @@ def tree_measure_values(tree: FiniteTree, masses: dict) -> PLValues:
 def tree_dirichlet(tree: FiniteTree, m1: dict, m2: dict) -> Ext:
     terms = [Ext(a) * Ext(b) * tree.green(i, j)
              for i, a in m1.items() for j, b in m2.items()]
-    if all(t.kind == 0 for t in terms):
-        return ext_sum(terms)
-    if all(a > 0 for a in m1.values()) and all(b > 0 for b in m2.values()):
-        return NEG_INF
-    raise IndeterminateForm(
-        "signed pairing with an endpoint atom is not square-integrable")
+    return _pairing(terms, all(a > 0 for a in m1.values())
+                    and all(b > 0 for b in m2.values()))
 
 
 def laplacian_pl(f: PLValues) -> dict:

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, lcm
+from math import ceil
 
 from . import poly
 from .cluster import (LINF, BranchWalk, Free, PathTrie, PointAtInfinity,
                       PuiseuxBranch, base_strict_series, chain_cluster,
-                      extend_dual_tree, root_path, segment_point_key)
+                      extend_dual_tree, root_path, segment_point_key,
+                      taylor_shift)
 from .errors import (InsufficientTruncation, InternalMismatch,
                      NeedsFieldExtension, PreconditionViolated,
                      PrecisionExceeded, ZeroOrConstant)
-from .exact import Ext, _q, rational_root
+from .exact import Ext, _q, integer_numerators, rational_root
 from .potential import DiscreteMeasure, _Points, measure, value
 from .series import PuiseuxSeries
 from .valuations import Curve, Divisorial
@@ -109,10 +110,9 @@ def _rational_roots(coeffs: dict, what: str):
     NeedsFieldExtension("<what>: <factor>")."""
     from . import factor     # loaded by the first session that factors
 
-    D = lcm(*(c.denominator for c in coeffs.values()))
     f = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        f[e] = c.numerator * (D // c.denominator)
+    for e, n in zip(coeffs, integer_numerators(coeffs.values())[0]):
+        f[e] = n
     for g, e in factor.factor_list(f):
         if len(g) > 2:
             text = factor.expr_str(g, "t")
@@ -144,16 +144,10 @@ def _char_roots(G: dict, on_edge, p: int, jmin: int):
 
 
 def _substitute_edge(G: dict, p: int, q: int, w: int, c: Fraction) -> dict:
-    """G(u^p, u^q (c + v)) / u^w as a polynomial dict."""
-    from math import comb
-
-    out = {}
-    for (i, j), a in G.items():
-        base = p * i + q * j - w
-        for t in range(j + 1):
-            k = (base, t)
-            out[k] = out.get(k, Fraction(0)) + a * comb(j, t) * c ** (j - t)
-    return {k: v for k, v in out.items() if v != 0}
+    """G(u^p, u^q (c + v)) / u^w as a polynomial dict: each a u^i v^j
+    becomes a u^(p i + q j - w) (v + c)^j."""
+    return taylor_shift({(p * i + q * j - w, j): a for (i, j), a in G.items()},
+                        c)
 
 
 def _np_branches(G: dict, K: int, depth: int = 0):

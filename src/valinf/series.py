@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import poly
 from .errors import InsufficientTruncation
-from .exact import _q
+from .exact import _q, integer_numerators
 
 
 def powers(base, one):
@@ -54,11 +54,9 @@ def _min_order(a, b):
 def _integer_terms(coeffs: dict):
     """([(e, n_e)] in increasing e, D) with coeffs[e] = n_e / D, for D
     the least common denominator."""
-    den = 1
-    for c in coeffs.values():
-        den = lcm(den, c.denominator)
-    return [(e, coeffs[e].numerator * (den // coeffs[e].denominator))
-            for e in sorted(coeffs)], den
+    es = sorted(coeffs)
+    nums, den = integer_numerators([coeffs[e] for e in es])
+    return list(zip(es, nums)), den
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from valinf.adelic import (ARCH, AdelicBranch, AlgebraizeReport, abs_value,
                            algebraize, branch_membership, chart_coordinates,
                            ord_p)
 from valinf.cluster import PointAtInfinity
-from valinf.errors import DomainError, Undecidable, WitnessNotFound
+from valinf.errors import (DomainError, InternalMismatch, Undecidable,
+                           WitnessNotFound)
 from valinf.puiseux import weighted_branches
 from valinf.valuations import Curve, curve_of_series
 
@@ -129,3 +130,13 @@ class TestAlgebraize:
         assert rep.values == []
         assert rep.curve == {(0, 0): F(1)}
         assert rep.notes
+
+    def test_retained_point_off_the_curve_is_an_internal_mismatch(
+            self, monkeypatch):
+        # a level set that misses its own point can only be a defect: with
+        # every level set replaced by the unit, the check must catch it
+        monkeypatch.setattr(poly, "sub_const", lambda P, t: {(0, 0): F(1)})
+        ab = AdelicBranch(curve=Curve(cusp_branch()), primes=(2, 3))
+        with pytest.raises(InternalMismatch,
+                           match="retained point misses the curve"):
+            algebraize([ab], self.points(2, 5), 6)

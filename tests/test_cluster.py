@@ -293,6 +293,42 @@ def test_shared_rows_match_the_edge_recursion(seed):
         assert_rows_match_edge_recursion(cl)
 
 
+def assert_xy_rise_only_on_free_zero_chains(cl):
+    """ord_x and ord_y of a node exceed those of its axes by the
+    multiplicity of the strict transform of x or y at its center.  That
+    is 1 along the chain of Free(0) centers from a chart-y root for x,
+    and from the chart-x root with c = 0 for y, and 0 elsewhere, where
+    the transform is a unit."""
+    rows = cl.rows()
+    for i in range(len(cl)):
+        path = cl.path(i)
+        base = cl.nodes[path[0]].base
+        free0 = all(cl.nodes[j].step == Free(0) for j in path[1:])
+        ua, va = cl.axes[i]
+        for name, chain_base in (("ord_x", PY), ("ord_y", PX0)):
+            rise = getattr(rows[i], name) - getattr(rows[ua], name)
+            if va is not None:
+                rise -= getattr(rows[va], name)
+            assert rise == (base == chain_base and free0), (i, name)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 2))
+def test_xy_rows_rise_only_on_free_zero_chains(seed, n_roots):
+    cl = random_cluster(random.Random(seed), max_nodes=30, n_roots=n_roots)
+    assert_xy_rise_only_on_free_zero_chains(cl)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_shared_xy_rows_rise_only_on_free_zero_chains(seed):
+    rng = random.Random(seed)
+    trie = PathTrie()
+    for batch in random_path_batches(rng, rng.randint(1, 5)):
+        cl, _ = trie.add(batch)
+        assert_xy_rise_only_on_free_zero_chains(cl)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 2))
 def test_dual_walks_match_the_depth_walk(seed, n_roots):

@@ -344,6 +344,28 @@ def test_a_curve_free_hull_adds_to_its_trie_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+@derandomized
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["mixed", "divisorial", "curves"]),
+       st.sampled_from(CURVES), st.sampled_from([None, 2, 3, 5]))
+def test_hull_parent_map_is_the_geometry_dual_tree(seed, kind, text, K):
+    """The parent map a hull keeps is its cluster's dual tree, so its
+    lca is the one that ``meet`` reads off the geometry."""
+    rng = random.Random(seed)
+    if kind == "divisorial":
+        vs = random_divisorial_set(rng, rng.randint(1, 6))
+    else:
+        vs = random_mixed_set(rng, 6 if kind == "mixed" else 3)
+    if kind == "curves":
+        for b, _ in weighted_branches(poly.parse(text), K):
+            vs.insert(rng.randrange(len(vs) + 1), Curve(b))
+    try:
+        hull = Hull(vs)
+    except (DomainError, Undecided):
+        return
+    assert hull._dual_tree() == hull.cluster.geometry().parent
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_dual_tree_grows_with_the_trie(seed):

@@ -132,6 +132,15 @@ class TestValueAndDirichlet:
         with pytest.raises(IndeterminateForm):
             dirichlet(signed, signed)
 
+    def test_tree_pairing_follows_the_endpoint_rule(self):
+        """``tree_dirichlet`` on the tree of the curve and the root pairs
+        the endpoint atom as ``dirichlet`` does."""
+        t = build_tree([YBRANCH])
+        k = t.find(YBRANCH)
+        assert tree_dirichlet(t, {k: F(1)}, {k: F(1)}) == NEG_INF
+        with pytest.raises(IndeterminateForm, match="square-integrable"):
+            tree_dirichlet(t, {k: F(1), 0: F(-1)}, {k: F(1), 0: F(-1)})
+
     def test_mixed_infinite_value(self):
         signed = measure([(YBRANCH, F(1)), (YBRANCH, F(1))])
         assert value(signed, YBRANCH) == NEG_INF

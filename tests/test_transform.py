@@ -1,7 +1,11 @@
 """Oracles for the blowup kernel and the one-pass inverse.
 
-``step_transform`` substitutes monomials directly; the generic
-composition of polynomials, ``series.compose_series``, is its slow path.
+Every chart substitution relabels exponents and then runs the one
+Taylor shift, ``cluster.taylor_shift``: ``step_transform``,
+``base_strict_series`` and ``puiseux._substitute_edge``.  The generic
+composition of polynomials, ``series.compose_series``, is their slow
+path, and the chart equations are also checked by evaluation.  The
+shift runs over ``exact.integer_numerators``, checked on its own.
 ``minv`` runs one fraction-free pass, the core of ``solve_linear`` as
 well, so its slow path is ``oracles.gauss_jordan``, an elimination over
 Fraction.
@@ -9,15 +13,19 @@ Fraction.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import gauss_jordan
-from valinf.cluster import (Free, SatU, SatV, blowup_substitute,
+from valinf import poly
+from valinf.cluster import (Free, PointAtInfinity, SatU, SatV,
+                            base_strict_series, blowup_substitute,
                             build_geometry, mult, step_transform)
 from valinf.errors import InternalMismatch
-from valinf.exact import invert_matrix
+from valinf.exact import integer_numerators, invert_matrix
+from valinf.puiseux import _substitute_edge
 from valinf.randomized import random_cluster
 from valinf.series import compose_series
 
@@ -98,6 +106,54 @@ def test_substitution_of_each_chart():
     # u v^2 -> u^3 (v + 2)^2 = u^3 v^2 + 4 u^3 v + 4 u^3
     assert blowup_substitute(F, Free(Fraction(2))) == {
         (3, 0): 12, (3, 1): 12, (3, 2): 3}
+
+
+bases = st.one_of(st.just(PointAtInfinity("y")),
+                  st.builds(PointAtInfinity, st.just("x"), rationals))
+
+
+@derandomized
+@given(polys.filter(bool), bases, st.integers(0, 2),
+       st.lists(st.tuples(rationals.filter(bool), rationals), max_size=3))
+def test_base_chart_matches_composition(P, base, extra, samples):
+    """u^d P in the base chart, d >= deg P: the composition of the
+    homogenized P (x^i y^j as u^(d-i-j) w^j with w = y/x in chart x,
+    u^(d-i-j) w^i with w = x/y in chart y) with w = v - c, and at
+    sample points the value of u^d P(1/u, (v - c)/u) or u^d P(v/u, 1/u)."""
+    d = poly.degree(P) + extra
+    F = base_strict_series(base, P, d)
+    if base.chart == "x":
+        H = {(d - i - j, j): a for (i, j), a in P.items()}
+        w = {(0, 1): Fraction(1), (0, 0): -base.c}
+    else:
+        H = {(d - i - j, i): a for (i, j), a in P.items()}
+        w = {(0, 1): Fraction(1)}
+    assert F == compose_series(H, _U, w)
+    for u, v in samples:
+        x, y = ((1 / u, (v - base.c) / u) if base.chart == "x"
+                else (v / u, 1 / u))
+        assert poly.eval_at(F, u, v) == u ** d * poly.eval_at(P, x, y)
+
+
+@derandomized
+@given(polys.filter(bool), st.integers(1, 3), st.integers(1, 3), rationals)
+def test_edge_substitution_matches_composition(G, p, q, c):
+    """G(u^p, u^q (c + v)) / u^w at the least weight w of G's terms."""
+    w = min(p * i + q * j for i, j in G)
+    composed = compose_series(G, {(p, 0): Fraction(1)},
+                              {(q, 1): Fraction(1), (q, 0): c})
+    assert _substitute_edge(G, p, q, w, c) == {
+        (i - w, j): a for (i, j), a in composed.items()}
+
+
+@derandomized
+@given(st.lists(st.one_of(rationals, st.integers(-50, 50)), max_size=8))
+def test_integer_numerators_share_the_least_denominator(values):
+    nums, D = integer_numerators(values)
+    assert all(type(n) is int for n in nums) and D >= 1
+    assert [Fraction(n, D) for n in nums] == values
+    # a prime of D dividing every numerator would leave a smaller one
+    assert gcd(D, *nums) == 1
 
 
 def intersection_matrix(g):
