@@ -1,13 +1,16 @@
-"""Time ``build_tree``, ``value`` and ``dirichlet`` on n seeded tree points.
+"""Time the potential-theory forms on n seeded tree points.
 
 For each n, ``random.Random(n)`` draws n points: a node of a random
 cluster (``randomized.random_cluster``, at one of its four points of
 L-infinity) as a divisorial valuation v, moved up its segment
 [root, v] to an ``EdgePoint`` half of the time.  rho puts mass 1 on
 each point, equal points not merged.  One JSON line per n gives, for
-``build_tree(points)``, ``value(rho, points[0])`` and
-``dirichlet(rho, rho)``, the seconds (``time.perf_counter``), the
-``valuations.Hull`` objects built and the ``valuations.meet`` calls.
+``build_tree(points)``, ``value(rho, points[0])``, ``dirichlet(rho,
+rho)``, ``measure`` of rho's atoms (equal points merged) and
+``retract_measure(rho, tree)`` onto the tree of the first half of the
+points (built before the clock starts), the seconds
+(``time.perf_counter``), the ``valuations.Hull`` objects built and the
+``valuations.meet`` calls.
 The counts are taken by wrappers that this script puts around the
 library's functions; the library itself counts nothing.
 
@@ -85,11 +88,15 @@ def main():
     for n in args.n:
         pts = points(n)
         rho = potential.DiscreteMeasure(tuple((p, 1) for p in pts))
+        tree = potential.build_tree(pts[:n // 2])
         print(json.dumps({
             "n": n,
             "build_tree": timed(potential.build_tree, pts),
             "value": timed(potential.value, rho, pts[0]),
-            "dirichlet": timed(potential.dirichlet, rho, rho)}), flush=True)
+            "dirichlet": timed(potential.dirichlet, rho, rho),
+            "measure": timed(potential.measure, rho.atoms),
+            "retract_measure": timed(potential.retract_measure, rho, tree)}),
+            flush=True)
     return 0
 
 

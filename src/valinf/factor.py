@@ -19,21 +19,21 @@ is made square-free by one gcd with its y-derivative, specialised at a
 good x = a, factored there over Z, lifted x-adically modulo a prime above
 a coefficient bound, and recombined by trial division; multiplicities
 come from trial division.  Gcds are heuristic (Char, Geddes and Gonnet),
-checked by exact division.  Randomness comes from a fixed-seed generator,
+checked by exact division, with a primitive remainder sequence where no
+evaluation point succeeds.  Randomness comes from a fixed-seed generator,
 so every run does the same work.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from functools import reduce
 from itertools import combinations, count
 from math import gcd, isqrt
 
-from .errors import InternalMismatch
-
 # gcd evaluation points tried before the primitive remainder sequence;
-# in two variables, which have no such fallback, four times as many
+# in two variables four times as many
 HEU_GCD_TRIES = 8
 # primes (univariate) and evaluation points (bivariate) compared for the
 # fewest local factors
@@ -121,16 +121,28 @@ def _normal(f):
     return [a // c for a in f]
 
 
-def _prem(f, g):
-    """The pseudo-remainder of f by g."""
+def _prem(f, g, mul=operator.mul, sub=operator.sub):
+    """The pseudo-remainder of f by g, over Z or (``_mul``, ``_sub``) Z[y]."""
     r, dg, lg = list(f), len(g) - 1, g[-1]
     while len(r) > dg:
         c, k = r[-1], len(r) - 1 - dg
-        r = [a * lg for a in r]
+        r = [mul(a, lg) for a in r]
         for j, b in enumerate(g):
-            r[k + j] -= c * b
+            r[k + j] = sub(r[k + j], mul(c, b))
         _trim(r)
     return r
+
+
+def _prs(f, g, pp, prem=_prem):
+    """The last nonzero remainder of the primitive remainder sequence of
+    f and g, each made primitive by ``pp``."""
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, prem(f, g)
+        if g:
+            g = pp(g)
+    return pp(f)
 
 
 def _digits(c: int, xi: int) -> list:
@@ -172,13 +184,7 @@ def _gcd(f, g):
             if _quo(f, h) is not None and _quo(g, h) is not None:
                 return _scale(h, c)
         xi = _next_xi(xi)
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        f, g = g, _prem(f, g)
-        if g:
-            g = _normal(g)
-    return _scale(_normal(f), c)
+    return _scale(_prs(f, g, _normal), c)
 
 
 def _sqf_list(f):
@@ -557,12 +563,15 @@ def quo2(F, G):
 
 
 def _gcd2(F, G):
-    """The gcd of F and G in Z[x, y], F without content in Z[x].
+    """The gcd of F and G in Z[x, y], primitive with a positive leading
+    coefficient.
 
     Heuristic gcd over x = xi: the balanced base-xi digits of the
     coefficients of gcd(F(xi, y), G(xi, y)), made primitive, are the gcd
-    once they divide both; the integer cofactor that an unlucky xi adds
-    divides a fixed integer, so a larger xi succeeds.
+    once they divide both, for F without content in Z[x]; the integer
+    cofactor that an unlucky xi adds divides a fixed integer, so a
+    larger xi succeeds.  A primitive remainder sequence in Z[y][x]
+    answers if no evaluation point does.
     """
     xi = 2 * max(abs(a) for H in (F, G) for r in H for a in r) + 29
     for _ in range(4 * HEU_GCD_TRIES):
@@ -571,7 +580,12 @@ def _gcd2(F, G):
         if quo2(F, H) is not None and quo2(G, H) is not None:
             return H
         xi = _next_xi(xi)
-    raise InternalMismatch("heuristic gcd found no evaluation point")
+
+    def pp(H):                  # H over its content in Z[y]
+        return _transpose(_pp2(_transpose(H)))
+
+    H = _prs(F, G, pp, lambda F, G: _prem(F, G, _mul, _sub))
+    return _normal2([_mul(reduce(_gcd, F + G), r) for r in H])
 
 
 def _points():

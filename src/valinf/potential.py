@@ -2,22 +2,26 @@
 
 Points of the tree are either constructed valuations or interior points
 of a segment [root, v], given by the anchor v and a skewness value.
-Functions are represented by finitely supported signed measures; their
-values are sums of Green kernels alpha(v ^ w).  The Dirichlet pairing
-is computed both from the measure (double sum) and by integration by
-parts along edges, and the two must agree exactly.
+Every comparison of points in a call reads one ``Hull`` of their anchors
+(``_Points``): whether two are equal, whether one lies on the other's
+segment, their meet and its skewness.  Functions are represented by
+finitely supported signed measures; their values are sums of Green
+kernels alpha(v ^ w).  The Dirichlet pairing is computed both from the
+measure (double sum) and by integration by parts along edges, and the
+two must agree exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cluster import root_path, tree_lca
 from .errors import (IndeterminateForm, InternalMismatch, PreconditionViolated,
                      SkewnessTooHigh)
 from .exact import Ext, NEG_INF, _q, ext_sum
-from .valuations import ROOT, Hull, Root, Valuation, equal, meet, skewness
+from .valuations import ROOT, Hull, Root, Valuation, skewness
 from .valuations import _base as base_point
 
 
@@ -53,51 +57,13 @@ def point_on_segment(v: Valuation, alpha) -> "TreePoint":
 TreePoint = object  # Valuation | EdgePoint
 
 
-def _split(p) -> tuple:
-    """(anchor valuation, skewness along [root, anchor]) of a tree point."""
-    if isinstance(p, EdgePoint):
-        return p.below, Ext(p.alpha)
-    return p, skewness(p)
+def _anchor(p) -> Valuation:
+    """The valuation v of a tree point on [root, v]: its own, or p."""
+    return p.below if isinstance(p, EdgePoint) else p
 
 
 def point_skewness(p) -> Ext:
-    return _split(p)[1]
-
-
-def point_meet(p, q):
-    """Meet of two tree points.  Its skewness is the largest of theirs and
-    that of the meet m of their anchors: p or q where that one lies on
-    the other's root segment, and m otherwise."""
-    (v, a), (w, b) = _split(p), _split(q)
-    m = ROOT if isinstance(v, Root) or isinstance(w, Root) else meet(v, w)
-    g = skewness(m)
-    return p if a >= max(b, g) else q if b >= g else m
-
-
-def point_leq(p, q) -> bool:
-    return point_skewness(p) >= point_green(p, q)
-
-
-def point_equal(p, q) -> bool:
-    if p is q:
-        return True
-    (v, a), (w, b) = _split(p), _split(q)
-    if a != b:
-        return False
-    # curves are compared without a meet; else p = q when p <= q
-    return equal(v, w) if a == NEG_INF else point_leq(p, q)
-
-
-def shift_up(p, eps: Fraction):
-    """The point on [root, p] lying eps above p in skewness."""
-    v, a = _split(p)
-    if a == NEG_INF:
-        raise ValueError("no skewness coordinate at an endpoint")
-    return point_on_segment(v, a.q + eps)
-
-
-def point_green(p, q) -> Ext:
-    return point_skewness(point_meet(p, q))
+    return Ext(p.alpha) if isinstance(p, EdgePoint) else skewness(p)
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +114,70 @@ class FiniteTree:
         return self.alpha[i] if i == j else self.alpha[self.lca(i, j)]
 
     def find(self, p):
-        for i, x in enumerate(self.points):
-            if x is not None and point_equal(x, p):
-                return i
-        return None
+        """The vertex at p, or None (one ``_Points``)."""
+        at = [i for i, x in enumerate(self.points) if x is not None]
+        pts = _Points([p] + [self.points[i] for i in at])
+        return next((i for k, i in enumerate(at, 1) if pts.equal(0, k)), None)
 
 
 class _Points:
     """Tree points p_i: anchors v_i, or points of skewness a_i on [root, v_i].
     With G_ij = alpha(v_i ^ v_j), p_i ^ p_j is the point of skewness
-    max(a_i, a_j, G_ij) on [root, v_i] (``green``); p_i lies on [root, p_j]
-    when a_i >= max(a_j, G_ij).  G_ij = 1 at the root and across points of
-    L-infinity, so one ``Hull`` holds the anchors that share theirs (with
-    v_0 for a ``star``), and none is built if none do."""
+    max(a_i, a_j, G_ij) on [root, v_i] (``green``).  G_ij = 1 at the root
+    and across points of L-infinity, so one ``Hull`` holds the anchors
+    that share theirs (with v_0 for a ``star``, which answers only the
+    pairs of p_0), and none is built if none do.  Three queries compare
+    two points: ``equal``, p_i = p_j, when a_i = a_j >= G_ij; ``leq``, p_i
+    on [root, p_j], when a_i >= max(a_j, G_ij); and ``meet``, p_i or p_j
+    where one lies on the other's segment, else the hull's meet of their
+    anchors (``ROOT`` across points of L-infinity).  a and G are read off
+    the hull's matrix when first asked for, but ``equal`` of two
+    valuations reads their ends in the hull, with no skewness."""
 
     def __init__(self, points, star=False):
         self.points = points = tuple(points)
-        vs = [p.below if isinstance(p, EdgePoint) else p for p in points]
+        vs = self.anchors = [_anchor(p) for p in points]
         bases = [None if isinstance(v, Root) else base_point(v) for v in vs]
         at = self.index = {i: x for x, i in enumerate(
             i for i, b in enumerate(bases) if b is not None
             and bases.count(b) > 1 and (b == bases[0] or not star))}
         self.hull = Hull([vs[i] for i in at]) if at else None
+
+    @cached_property
+    def G(self) -> list:
+        at, vs = self.index, self.anchors
         rows, n = self.hull.matrix() if at else [], len(vs)
-        self.G = [[rows[at[i]][at[j]] if i in at and j in at
-                   else skewness(vs[i]) if i == j else Ext(1)
-                   for j in range(n)] for i in range(n)]
-        self.a = [Ext(p.alpha) if isinstance(p, EdgePoint) else self.G[i][i]
-                  for i, p in enumerate(points)]
+        return [[rows[at[i]][at[j]] if i in at and j in at
+                 else skewness(vs[i]) if i == j else Ext(1)
+                 for j in range(n)] for i in range(n)]
+
+    @cached_property
+    def a(self) -> list:
+        return [Ext(p.alpha) if isinstance(p, EdgePoint) else self.G[i][i]
+                for i, p in enumerate(self.points)]
 
     def green(self, i, j) -> Ext:
         return max(self.a[i], self.a[j], self.G[i][j])
+
+    def leq(self, i, j) -> bool:
+        return self.a[i] >= max(self.a[j], self.G[i][j])
+
+    def equal(self, i, j) -> bool:
+        p, q, at = self.points[i], self.points[j], self.index
+        if isinstance(p, EdgePoint) or isinstance(q, EdgePoint):
+            return self.a[i] == self.a[j] >= self.G[i][j]
+        if i in at and j in at:
+            return self.hull.equal(at[i], at[j])
+        return i == j or isinstance(p, Root) and isinstance(q, Root)
+
+    def meet(self, i, j):
+        g = self.G[i][j]
+        if self.leq(i, j):
+            return self.points[i]
+        if self.a[j] >= g:
+            return self.points[j]
+        return ROOT if g == Ext(1) else \
+            self.hull.meet(self.index[i], self.index[j])
 
 
 def build_tree(points) -> FiniteTree:
@@ -198,7 +197,7 @@ def build_tree(points) -> FiniteTree:
     for i in range(len(a)):
         for j in range(i + 1, len(a)):
             if G[i][j] > max(a[i], a[j]):
-                add(i, G[i][j], lambda: t.hull.meet(t.index[i], t.index[j]))
+                add(i, G[i][j], lambda: t.meet(i, j))
     parent = [None] + [min(
         (x for x, (l, r, _) in enumerate(verts) if r > s and r >= G[k][l]),
         key=lambda x: verts[x][1]) for k, s, _ in verts[1:]]
@@ -207,17 +206,8 @@ def build_tree(points) -> FiniteTree:
 
 
 def retract(p, tree: FiniteTree):
-    """Nearest point of the tree on [root, p]: the deepest meet of p with
-    a leaf (``_Points``), the vertex of its skewness on the leaf's path."""
-    if any(x is None for x in tree.points):
-        raise ValueError("retraction needs realized tree points")
-    leaves = [i for i in range(len(tree)) if i not in tree.parent]
-    pts = _Points([p] + [tree.points[i] for i in leaves])
-    g, leaf = min((pts.green(0, k), i) for k, i in enumerate(leaves, 1))
-    i = next((i for i in tree.root_path(leaf) if tree.alpha[i] == g), None)
-    if i is None:
-        raise InternalMismatch("retraction landed outside the tree")
-    return tree.points[i]
+    """Nearest point of the tree on [root, p] (``retract_measure``)."""
+    return retract_measure(dirac(p), tree).atoms[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +237,15 @@ class DiscreteMeasure:
 
 
 def measure(pairs) -> DiscreteMeasure:
-    atoms = []
-    for p, m in pairs:
-        m = _q(m)
-        for k, (q, mq) in enumerate(atoms):
-            if point_equal(p, q):
-                atoms[k] = (q, mq + m)
-                break
-        else:
-            atoms.append((p, m))
-    return DiscreteMeasure(tuple((p, m) for p, m in atoms if m != 0))
+    """The measure of (point, mass) pairs, equal points merged at the
+    first of them (one ``_Points`` of all the points)."""
+    pairs = [(p, _q(m)) for p, m in pairs]
+    pts, mass = _Points(p for p, _ in pairs), {}
+    for i, (_, m) in enumerate(pairs):
+        k = next((k for k in mass if pts.equal(k, i)), i)
+        mass[k] = mass.get(k, Fraction(0)) + m
+    return DiscreteMeasure(tuple((pairs[k][0], m)
+                                 for k, m in mass.items() if m != 0))
 
 
 def dirac(p, mass=1) -> DiscreteMeasure:
@@ -290,7 +279,25 @@ def _pairing(terms: list, positive: bool) -> Ext:
 
 
 def retract_measure(rho: DiscreteMeasure, tree: FiniteTree) -> DiscreteMeasure:
-    return measure([(retract(p, tree), m) for p, m in rho.atoms])
+    """Each atom moved to its nearest point of the tree on [root, atom]:
+    its deepest meet with a leaf, the point of that skewness on the
+    leaf's path, which is the vertex there or else lies inside the edge
+    above the first vertex below it.  One ``_Points`` of the atoms and
+    the leaves; atoms that land on one point merge there."""
+    if any(x is None for x in tree.points):
+        raise ValueError("retraction needs realized tree points")
+    leaves = [i for i in range(len(tree)) if i not in tree.parent]
+    n = len(rho.atoms)
+    pts = _Points([p for p, _ in rho.atoms] + [tree.points[i] for i in leaves])
+    mass = {}           # (first vertex at or below the point, its skewness)
+    for k, (_, m) in enumerate(rho.atoms):
+        g, leaf = min((pts.green(k, x), i) for x, i in enumerate(leaves, n))
+        key = next(i for i in tree.root_path(leaf) if tree.alpha[i] <= g), g
+        mass[key] = mass.get(key, Fraction(0)) + m
+    return DiscreteMeasure(tuple(
+        (tree.points[i] if tree.alpha[i] == g else
+         point_on_segment(_anchor(tree.points[i]), g.q), m)
+        for (i, g), m in mass.items() if m != 0))
 
 
 # ---------------------------------------------------------------------------
@@ -418,67 +425,49 @@ def perturb_certificate(phi: DiscreteMeasure, S) -> DiscreteMeasure:
     for p in atoms:
         if value(phi, p) != Ext(0):
             raise PreconditionViolated("the function must vanish at its atoms")
-    for i, p in enumerate(atoms):
-        for q in atoms[i + 1:]:
-            if point_leq(p, q) or point_leq(q, p):
-                raise PreconditionViolated("atoms must be incomparable")
-    for w in S:
-        if not any(point_leq(p, w) for p in atoms):
-            raise PreconditionViolated("constraints must lie above the atoms")
+    n = len(atoms)
+    pts, ws = _Points(atoms + list(S)), range(n, n + len(S))
+    if any(pts.leq(i, j) for i in range(n) for j in range(n) if i != j):
+        raise PreconditionViolated("atoms must be incomparable")
+    if not all(any(pts.leq(i, w) for i in range(n)) for w in ws):
+        raise PreconditionViolated("constraints must lie above the atoms")
 
-    # unconstrained atom: drop it by retracting onto the hull of the rest
-    for i, p in enumerate(atoms):
-        if not any(point_leq(p, w) for w in S):
-            rest = atoms[:i] + atoms[i + 1:]
-            psi = retract_measure(phi, build_tree(rest))
-            _check_certificate(psi)
-            return psi
-
-    # every atom constrained: pick one not itself in S and split its mass
-    for k, (p1, r1) in enumerate(phi.atoms):
-        if not any(point_equal(p1, w) for w in S):
-            break
+    free = next((i for i in range(n)
+                 if not any(pts.leq(i, w) for w in ws)), None)
+    if free is not None:
+        # unconstrained atom: drop it by retracting onto the hull of the rest
+        psi = retract_measure(phi, build_tree(atoms[:free] + atoms[free + 1:]))
     else:
-        raise PreconditionViolated("some atom must stay out of the constraints")
-    a1 = point_skewness(p1)
-    above = [w for w in S if point_leq(p1, w)]
-    # directions below p1: group the constraints by their common segment
-    classes = []
-    for w in above:
-        for cls in classes:
-            if point_skewness(point_meet(cls[0], w)) < a1:
-                cls.append(w)
-                break
-        else:
-            classes.append([w])
-    gaps = [Ext(1) - a1]
-    for q, _ in phi.atoms:
-        if q is not p1:
-            gaps.append(point_green(p1, q) - a1)
-    for cls in classes:
-        m = cls[0]
-        for w in cls[1:]:
-            m = point_meet(m, w)
-        gaps.append(a1 - point_skewness(m))
-    eps = min(g.q for g in gaps if g.kind == 0) / 2
-    k = len(classes)
-    share = Fraction(r1, k + 1)
-    pairs = [(q, m) for q, m in phi.atoms if q is not p1]
-    pairs.append((shift_up(p1, eps), share))
-    for cls in classes:
-        anchor, _ = _split(cls[0])
-        pairs.append((point_on_segment(anchor, a1.q - eps), share))
-    psi = measure(pairs)
-    _check_certificate(psi)
-    for w in S:
-        if value(psi, w) != Ext(0):
+        # every atom constrained: pick one not itself in S, split its mass
+        k = next((i for i in range(n)
+                  if not any(pts.equal(i, w) for w in ws)), None)
+        if k is None:
+            raise PreconditionViolated(
+                "some atom must stay out of the constraints")
+        a1 = pts.a[k]
+        # directions below p_k: the constraints by their common segment
+        classes = {}
+        for w in ws:
+            if pts.leq(k, w):
+                u = next((u for u in classes if pts.green(u, w) < a1), w)
+                classes.setdefault(u, []).append(w)
+        # the gaps to the root, the other atoms and each direction's meet
+        gaps = [Ext(1) - a1] + [pts.green(k, i) - a1 for i in range(n)
+                                if i != k]
+        gaps += [a1 - max(pts.green(u, w) for u in c for w in c)
+                 for c in classes.values()]
+        eps = min(g.q for g in gaps if g.kind == 0) / 2
+        share = Fraction(phi.atoms[k][1], len(classes) + 1)
+        pairs = [x for i, x in enumerate(phi.atoms) if i != k]
+        pairs.append((point_on_segment(pts.anchors[k], a1.q + eps), share))
+        pairs += [(point_on_segment(pts.anchors[u], a1.q - eps), share)
+                  for u in classes]
+        psi = measure(pairs)
+        if any(value(psi, w) != Ext(0) for w in S):
             raise InternalMismatch("perturbed measure misses a constraint")
-    return psi
-
-
-def _check_certificate(psi: DiscreteMeasure):
     if not (dirichlet(psi, psi) > Ext(0)):
         raise InternalMismatch("certificate lost its positive self-pairing")
+    return psi
 
 
 def extend_certificate(phi: DiscreteMeasure, S, extra,
@@ -501,20 +490,19 @@ def extend_certificate(phi: DiscreteMeasure, S, extra,
     for v in S:
         if value(phi, v) != Ext(0):
             raise PreconditionViolated("phi must vanish above the base set")
-    extra = [v for v in extra
-             if not any(point_leq(s, v) for s in S)]
+    S, extra = list(S), list(extra)
+    pts, n = _Points(S + extra), len(S)
+    extra = [v for k, v in enumerate(extra, n)
+             if not any(pts.leq(s, k) for s in range(n))]
     if l is None:
         l = len(extra)
     if l < len(extra):
         raise PreconditionViolated("the budget must cover the extra points")
 
-    finite_alphas = [point_skewness(s) for s in S]
-    m0 = min([Ext(1)] + [a for a in finite_alphas if a.kind == 0])
-    bounds = [m0.q]
+    bounds = [min([Ext(1)] + [a for a in pts.a[:n] if a.kind == 0]).q]
     for k in range(1, l + 1):
         bounds.append(bounds[k - 1] - Fraction(2 * k) / r.q)
-    for v in extra:
-        a = point_skewness(v)
+    for a in map(point_skewness, extra):
         if a.kind == 0 and a.q > bounds[l]:
             raise SkewnessTooHigh(
                 f"skewness {a.q} exceeds the admissible bound {bounds[l]}")
@@ -524,23 +512,16 @@ def extend_certificate(phi: DiscreteMeasure, S, extra,
             return phi
         if len(vs) <= k - 1:
             return go(vs, k - 1)
-        cutoff = Ext(bounds[k - 1])
+        b, t = bounds[k - 1], _Points(vs)
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
-                if point_green(vs[i], vs[j]) <= cutoff:
-                    rest = [v for t, v in enumerate(vs) if t not in (i, j)]
-                    rest.append(point_meet(vs[i], vs[j]))
-                    return go(rest, k - 1)
+                if t.green(i, j) <= Ext(b):
+                    rest = [v for x, v in enumerate(vs) if x not in (i, j)]
+                    return go(rest + [t.meet(i, j)], k - 1)
         pairs = list(phi.atoms)
-        for v in vs:
-            a = point_skewness(v)
-            if a.kind != 0:
-                continue
-            x = value(phi, v).q / (bounds[k - 1] - a.q)
-            if x == 0:
-                continue
-            pairs.append((v, x))
-            pairs.append((point_on_segment(_split(v)[0], bounds[k - 1]), -x))
+        for v, a, anchor in zip(vs, t.a, t.anchors):
+            if a.kind == 0 and (x := value(phi, v).q / (b - a.q)):
+                pairs += [(v, x), (point_on_segment(anchor, b), -x)]
         return measure(pairs)
 
-    return go(list(extra), l)
+    return go(extra, l)

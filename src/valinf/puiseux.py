@@ -249,16 +249,16 @@ def branches_at_infinity(Q: dict, K=None):
 
 def log_laplacian(Q: dict, K=None) -> DiscreteMeasure:
     """Measure with one atom per branch at infinity, weighted by its
-    intersection multiplicity with the line at infinity."""
-    return measure([(Curve(b), e * b.multiplicity)
-                    for b, e in weighted_branches(Q, K)])
+    intersection multiplicity with the line at infinity.  The branches
+    are distinct, so no atoms merge."""
+    return DiscreteMeasure(tuple((Curve(b), Fraction(e * b.multiplicity))
+                                 for b, e in weighted_branches(Q, K)))
 
 
 def log_value(Q: dict, v, K=None) -> Ext:
     """Green-function side of the chart identity: sum of weight *
     skewness(meet with each branch); equals minus the valuation of Q."""
-    return value(DiscreteMeasure(tuple((Curve(b), e * b.multiplicity) for b, e
-                                       in weighted_branches(Q, K))), v)
+    return value(log_laplacian(Q, K), v)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (KernelDimensionNotOne, NonPositiveKernel,
                      PreconditionViolated, SingularSystem)
 from .exact import Ext, SymMatrixExt, chi_det, ext_sum, solve_linear
-from .potential import DiscreteMeasure, measure
+from .potential import DiscreteMeasure
 from .valuations import (Comparison, Curve, Divisorial, Hull, Monomial, ROOT,
                          compare, equal, thinness)
 
@@ -138,7 +138,8 @@ def star_system(S: ValuationSet):
     if res.solution is None or res.kernel:
         raise SingularSystem("bordered skewness matrix is singular")
     a = res.solution
-    phi = measure([(ROOT, a[0])] + list(zip(vs, a[1:])))
+    # a repeated element (or ROOT) repeats a row of B: no atoms merge
+    phi = DiscreteMeasure(tuple(x for x in zip([ROOT] + vs, a) if x[1]))
     return a, phi
 
 
@@ -171,7 +172,7 @@ def kernel_function(S: ValuationSet) -> DiscreteMeasure:
     a = [c / total for c in a]
     if any(c <= 0 for c in a):
         raise NonPositiveKernel("kernel vector is not positive")
-    return measure(list(zip(vs, a)))
+    return DiscreteMeasure(tuple(zip(vs, a)))   # incomparable: no merges
 
 
 def thinness_integral(phi: DiscreteMeasure) -> Ext:

@@ -12,16 +12,16 @@ from valinf.cluster import (DIVERGING_WORKS, LINF, BranchWalk, Cluster, Free,
                             eval_divisorial, merge_paths, ord_along_path)
 from valinf.errors import (IndeterminateForm, InsufficientTruncation,
                            InternalMismatch, InvalidCluster,
-                           NeedsFieldExtension, PreconditionViolated)
+                           NeedsFieldExtension, PreconditionViolated,
+                           SkewnessTooHigh)
 from valinf.exact import (NEG_INF, POS_INF, Ext, LinSolveResult, SymMatrixExt,
                           _q, ext_sum)
-from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree, measure,
-                              point_equal, point_green, point_meet,
-                              point_skewness)
+from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree,
+                              point_on_segment, point_skewness)
 from valinf.puiseux import weighted_branches
 from valinf.series import LaurentSeries, PuiseuxSeries
 from valinf.valuations import (ROOT, Comparison, Curve, Divisorial, Root,
-                               _wrap_lca, equal, path_key, skewness)
+                               _wrap_lca, equal, meet, path_key, skewness)
 
 
 def upoly(coeffs) -> tuple:
@@ -567,7 +567,7 @@ def logplus_laplacian_by_rebuild(Q, K=None, materialize=True):
                 break
             atoms.append((crossing, e * b.multiplicity))
         if not redo:
-            return measure(atoms)
+            return measure_by_meets(atoms)
 
 
 def meet_curve_by_one_shot_merges(c, v):
@@ -883,6 +883,73 @@ def minpoly_divides_by_sympy(minpoly: tuple, P: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _split(p) -> tuple:
+    """(anchor valuation, skewness along [root, anchor]) of a tree point."""
+    if isinstance(p, EdgePoint):
+        return p.below, Ext(p.alpha)
+    return p, skewness(p)
+
+
+def point_meet(p, q):
+    """``potential._Points.meet`` of two tree points by one ``meet`` of
+    their anchors.  Its skewness is the largest of theirs and that of the
+    meet m of their anchors: p or q where that one lies on the other's
+    root segment, and m otherwise."""
+    (v, a), (w, b) = _split(p), _split(q)
+    m = ROOT if isinstance(v, Root) or isinstance(w, Root) else meet(v, w)
+    g = skewness(m)
+    return p if a >= max(b, g) else q if b >= g else m
+
+
+def point_green(p, q) -> Ext:
+    return point_skewness(point_meet(p, q))
+
+
+def point_leq(p, q) -> bool:
+    return point_skewness(p) >= point_green(p, q)
+
+
+def point_equal(p, q) -> bool:
+    if p is q:
+        return True
+    (v, a), (w, b) = _split(p), _split(q)
+    if a != b:
+        return False
+    # curves are compared without a meet; else p = q when p <= q
+    return equal(v, w) if a == NEG_INF else point_leq(p, q)
+
+
+def shift_up(p, eps: Fraction):
+    """The point on [root, p] lying eps above p in skewness."""
+    v, a = _split(p)
+    if a == NEG_INF:
+        raise ValueError("no skewness coordinate at an endpoint")
+    return point_on_segment(v, a.q + eps)
+
+
+def measure_by_meets(pairs) -> DiscreteMeasure:
+    """``potential.measure`` by one ``point_equal`` per pair of a point
+    and an atom before it."""
+    atoms = []
+    for p, m in pairs:
+        m = _q(m)
+        for k, (q, mq) in enumerate(atoms):
+            if point_equal(p, q):
+                atoms[k] = (q, mq + m)
+                break
+        else:
+            atoms.append((p, m))
+    return DiscreteMeasure(tuple((p, m) for p, m in atoms if m != 0))
+
+
+def find_by_meets(tree: FiniteTree, p):
+    """``FiniteTree.find`` by one ``point_equal`` per tree point."""
+    for i, x in enumerate(tree.points):
+        if x is not None and point_equal(x, p):
+            return i
+    return None
+
+
 def build_tree_by_meets(points) -> FiniteTree:
     """``potential.build_tree`` by the pairwise routine that the hull
     replaced: each point is located by ``point_equal`` and spliced in by
@@ -939,7 +1006,8 @@ def build_tree_by_meets(points) -> FiniteTree:
 
 
 def retract_by_meets(p, tree: FiniteTree):
-    """``potential.retract`` by one ``point_meet`` per tree point."""
+    """``potential.retract`` by one ``point_meet`` per tree point: the
+    deepest meet, the tree point there if there is one."""
     best = ROOT
     for x in tree.points:
         if x is None:
@@ -947,10 +1015,15 @@ def retract_by_meets(p, tree: FiniteTree):
         m = point_meet(p, x)
         if point_skewness(m) < point_skewness(best):
             best = m
-    i = tree.find(best)
-    if i is None:
-        raise InternalMismatch("retraction landed outside the tree")
-    return tree.points[i]
+    i = find_by_meets(tree, best)
+    return best if i is None else tree.points[i]
+
+
+def retract_measure_by_meets(rho: DiscreteMeasure, tree: FiniteTree):
+    """``potential.retract_measure`` by one ``retract_by_meets`` per
+    atom."""
+    return measure_by_meets([(retract_by_meets(p, tree), m)
+                             for p, m in rho.atoms])
 
 
 def value_by_meets(rho: DiscreteMeasure, w) -> Ext:
@@ -975,3 +1048,128 @@ def log_value_by_meets(Q: dict, v, K=None) -> Ext:
     """``puiseux.log_value`` by one ``point_green`` per branch."""
     return ext_sum(Ext(e * b.multiplicity) * point_green(Curve(b), v)
                    for b, e in weighted_branches(Q, K))
+
+
+def perturb_certificate_by_meets(phi: DiscreteMeasure, S) -> DiscreteMeasure:
+    """``potential.perturb_certificate`` by the pairwise point functions:
+    one ``point_leq``, ``point_equal``, ``point_meet`` or ``point_green``
+    per pair it compares, and the ``*_by_meets`` forms."""
+    if not phi.is_positive() or not phi.atoms:
+        raise PreconditionViolated("a nonzero positive measure is required")
+    if dirichlet_by_meets(phi, phi) != Ext(0):
+        raise PreconditionViolated("self-pairing must vanish")
+    atoms = [p for p, _ in phi.atoms]
+    for p in atoms:
+        if value_by_meets(phi, p) != Ext(0):
+            raise PreconditionViolated("the function must vanish at its atoms")
+    for i, p in enumerate(atoms):
+        for q in atoms[i + 1:]:
+            if point_leq(p, q) or point_leq(q, p):
+                raise PreconditionViolated("atoms must be incomparable")
+    for w in S:
+        if not any(point_leq(p, w) for p in atoms):
+            raise PreconditionViolated("constraints must lie above the atoms")
+    for i, p in enumerate(atoms):
+        if not any(point_leq(p, w) for w in S):
+            rest = atoms[:i] + atoms[i + 1:]
+            psi = retract_measure_by_meets(phi, build_tree_by_meets(rest))
+            _check_certificate_by_meets(psi)
+            return psi
+    for p1, r1 in phi.atoms:
+        if not any(point_equal(p1, w) for w in S):
+            break
+    else:
+        raise PreconditionViolated("some atom must stay out of the constraints")
+    a1 = point_skewness(p1)
+    above = [w for w in S if point_leq(p1, w)]
+    classes = []
+    for w in above:
+        for cls in classes:
+            if point_skewness(point_meet(cls[0], w)) < a1:
+                cls.append(w)
+                break
+        else:
+            classes.append([w])
+    gaps = [Ext(1) - a1]
+    for q, _ in phi.atoms:
+        if q is not p1:
+            gaps.append(point_green(p1, q) - a1)
+    for cls in classes:
+        m = cls[0]
+        for w in cls[1:]:
+            m = point_meet(m, w)
+        gaps.append(a1 - point_skewness(m))
+    eps = min(g.q for g in gaps if g.kind == 0) / 2
+    share = Fraction(r1, len(classes) + 1)
+    pairs = [(q, m) for q, m in phi.atoms if q is not p1]
+    pairs.append((shift_up(p1, eps), share))
+    for cls in classes:
+        pairs.append((point_on_segment(_split(cls[0])[0], a1.q - eps), share))
+    psi = measure_by_meets(pairs)
+    _check_certificate_by_meets(psi)
+    for w in S:
+        if value_by_meets(psi, w) != Ext(0):
+            raise InternalMismatch("perturbed measure misses a constraint")
+    return psi
+
+
+def _check_certificate_by_meets(psi: DiscreteMeasure):
+    if not (dirichlet_by_meets(psi, psi) > Ext(0)):
+        raise InternalMismatch("certificate lost its positive self-pairing")
+
+
+def extend_certificate_by_meets(phi: DiscreteMeasure, S, extra,
+                                l=None) -> DiscreteMeasure:
+    """``potential.extend_certificate`` by the pairwise point functions:
+    one ``point_leq``, ``point_green`` or ``point_meet`` per pair it
+    compares, and the ``*_by_meets`` forms."""
+    mass = phi.total_mass
+    if mass <= 0:
+        raise PreconditionViolated("positive total mass required")
+    phi = measure_by_meets([(p, m / mass) for p, m in phi.atoms])
+    r = dirichlet_by_meets(phi, phi)
+    if not (r > Ext(0)):
+        raise PreconditionViolated("positive self-pairing required")
+    for v in S:
+        if value_by_meets(phi, v) != Ext(0):
+            raise PreconditionViolated("phi must vanish above the base set")
+    extra = [v for v in extra if not any(point_leq(s, v) for s in S)]
+    if l is None:
+        l = len(extra)
+    if l < len(extra):
+        raise PreconditionViolated("the budget must cover the extra points")
+    m0 = min([Ext(1)] + [a for a in map(point_skewness, S) if a.kind == 0])
+    bounds = [m0.q]
+    for k in range(1, l + 1):
+        bounds.append(bounds[k - 1] - Fraction(2 * k) / r.q)
+    for v in extra:
+        a = point_skewness(v)
+        if a.kind == 0 and a.q > bounds[l]:
+            raise SkewnessTooHigh(
+                f"skewness {a.q} exceeds the admissible bound {bounds[l]}")
+
+    def go(vs, k):
+        if not vs:
+            return phi
+        if len(vs) <= k - 1:
+            return go(vs, k - 1)
+        cutoff = Ext(bounds[k - 1])
+        for i in range(len(vs)):
+            for j in range(i + 1, len(vs)):
+                if point_green(vs[i], vs[j]) <= cutoff:
+                    rest = [v for t, v in enumerate(vs) if t not in (i, j)]
+                    rest.append(point_meet(vs[i], vs[j]))
+                    return go(rest, k - 1)
+        pairs = list(phi.atoms)
+        for v in vs:
+            a = point_skewness(v)
+            if a.kind != 0:
+                continue
+            x = value_by_meets(phi, v).q / (bounds[k - 1] - a.q)
+            if x == 0:
+                continue
+            pairs.append((v, x))
+            pairs.append((point_on_segment(_split(v)[0], bounds[k - 1]), -x))
+        return measure_by_meets(pairs)
+
+    return go(list(extra), l)

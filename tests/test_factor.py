@@ -7,13 +7,15 @@ of the Puiseux base points and edge roots, division verdicts, and
 rational roots of large integers.
 """
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (base_points_by_sympy, char_roots_by_sympy,
                      factor_rational_by_sympy, minpoly_divides_by_sympy,
-                     rational_root_by_sympy)
+                     rational_root_by_sympy, to_sympy)
 from valinf import factor, poly
 from valinf.errors import NeedsFieldExtension
 from valinf.exact import rational_root
@@ -147,3 +149,50 @@ def test_gcd_by_remainders_where_no_evaluation_point_is_tried(monkeypatch):
     monkeypatch.setattr(factor, "HEU_GCD_TRIES", 0)
     assert [factor._gcd(f, g) for f, g in pairs] == want
     assert want[:2] == [[2, 4], [-1, 0, 1]]
+
+
+def gcd_pair(rng):
+    """(A B, A C) for small dense bivariate A, B and C, A nonconstant."""
+    def dense(d):
+        return {(i, j): F(rng.randint(-4, 4)) for i in range(d + 1)
+                for j in range(d + 1 - i)}
+
+    d = rng.randint(1, 2)
+    A = dense(d)
+    A[rng.choice([(d, 0), (0, d), (1, d - 1)])] = F(rng.choice([1, -2, 3]))
+    B, C = (poly.normalize(dense(rng.randint(0, 2))) or {(0, 0): F(1)}
+            for _ in range(2))
+    return poly.mul(poly.normalize(A), B), poly.mul(poly.normalize(A), C)
+
+
+def gcd_by_sympy(P, Q):
+    """The gcd in Z[x, y], primitive with a positive coefficient at its
+    highest power of x and there of y, as ``factor``'s rows."""
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    g = sympy.Poly(to_sympy(P), x, y).gcd(
+        sympy.Poly(to_sympy(Q), x, y)).primitive()[1]
+    if g.LC() < 0:
+        g = -g
+    return poly._rows({m: F(int(c)) for m, c in g.terms()})
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_bivariate_gcd_by_remainders_matches_sympy(seed):
+    """With no evaluation point tried, ``_gcd2`` runs its primitive
+    remainder sequence alone, which also takes a common factor in x
+    alone that the evaluation points need removed first."""
+    pair = gcd_pair(random.Random(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "HEU_GCD_TRIES", 0)
+        assert factor._gcd2(*map(poly._rows, pair)) == gcd_by_sympy(*pair)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(bivariate_products())
+def test_factor_rational_by_remainders_matches_sympy(P):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "HEU_GCD_TRIES", 0)
+        assert poly.factor_rational(P) == factor_rational_by_sympy(P)

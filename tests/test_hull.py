@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (compare_by_merges, dual_tree_by_adjacency,
-                     matrix_alpha_by_meets, meet_by_merges,
+                     matrix_alpha_by_meets, measure_by_meets, meet_by_merges,
                      solve_linear_by_fractions)
 from randgen import (random_cluster, random_divisorial_set, random_mixed_set,
                      random_path_batches)
@@ -33,7 +33,7 @@ from valinf.errors import (DomainError, KernelDimensionNotOne,
                            NonPositiveKernel, PreconditionViolated,
                            SingularSystem, Undecided)
 from valinf.exact import NEG_INF, Ext, SymMatrixExt, chi_det
-from valinf.potential import DiscreteMeasure, measure
+from valinf.potential import DiscreteMeasure
 from valinf.puiseux import weighted_branches
 from valinf.richness import ValuationSet, matrix_alpha
 from valinf.series import PuiseuxSeries
@@ -72,7 +72,7 @@ def star_by_meets(S):
     if res.solution is None or res.kernel:
         raise SingularSystem("singular")
     a = res.solution
-    return a, measure([(ROOT, a[0])] + list(zip(vs, a[1:])))
+    return a, measure_by_meets([(ROOT, a[0])] + list(zip(vs, a[1:])))
 
 
 def kernel_by_meets(S):
@@ -93,7 +93,7 @@ def kernel_by_meets(S):
     a = [c / total for c in kernel[0]]
     if any(c <= 0 for c in a):
         raise NonPositiveKernel("not positive")
-    return measure(list(zip(vs, a)))
+    return measure_by_meets(list(zip(vs, a)))
 
 
 ORACLES = {"matrix_alpha": matrix_alpha_by_meets, "chi_of": chi_by_meets,

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 from valinf.cluster import PointAtInfinity
 from valinf.errors import IndeterminateForm, PreconditionViolated, SkewnessTooHigh
 from valinf.exact import Ext, NEG_INF
+import oracles
+from oracles import point_equal, point_green, point_leq, point_meet, shift_up
 from valinf.potential import (DiscreteMeasure, EdgePoint, FiniteTree, PLValues,
-                              build_tree, dirac, dirichlet, dirichlet_by_parts,
-                              extend_certificate, is_subharmonic, laplacian_pl,
-                              measure, perturb_certificate, point_equal,
-                              point_green, point_leq, point_meet,
-                              point_on_segment, point_skewness, retract,
-                              retract_measure, shift_up, tree_dirichlet,
-                              tree_measure_values, tree_retract_masses, value)
-from valinf import potential
+                              _Points, build_tree, dirac, dirichlet,
+                              dirichlet_by_parts, extend_certificate,
+                              is_subharmonic, laplacian_pl, measure,
+                              perturb_certificate, point_on_segment,
+                              point_skewness, retract, retract_measure,
+                              tree_dirichlet, tree_measure_values,
+                              tree_retract_masses, value)
 from valinf.valuations import (ROOT, Monomial, curve_of_series, meet,
                                quasimonomial, skewness)
 
@@ -62,7 +63,7 @@ class TestTreePoints:
             calls.append((a, b))
             return meet(a, b)
 
-        monkeypatch.setattr(potential, "meet", counting)
+        monkeypatch.setattr(oracles, "meet", counting)
         assert point_green(HYP, v) == Ext(-1) > skewness(v)
         assert calls == [(HYP, v)]
 
@@ -83,6 +84,20 @@ class TestTreePoints:
         p = shift_up(M1, F(1, 2))
         assert point_skewness(p) == Ext(F(-1, 2))
         assert point_leq(p, M1)
+
+    def test_one_hull_answers_as_the_pairwise_functions(self):
+        pts = [ROOT, M0, M1, N1, HYP, YBRANCH, Y1BRANCH,
+               point_on_segment(M1, F(-1, 2)), point_on_segment(M1, F(0)),
+               point_on_segment(N1, F(-1, 2)), point_on_segment(HYP, F(-3)),
+               point_on_segment(YBRANCH, F(-1, 4)),
+               quasimonomial(PX0, 1, 3)]
+        t = _Points(pts)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                assert t.equal(i, j) == point_equal(p, q)
+                assert t.leq(i, j) == point_leq(p, q)
+                assert t.green(i, j) == point_green(p, q)
+                assert point_equal(t.meet(i, j), point_meet(p, q))
 
 
 class TestBuildTree:

@@ -113,10 +113,13 @@ def test_tree_scale_reads_each_form_off_one_hull():
     assert done.returncode == 0, done.stderr
     rows = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["n"] for r in rows] == [4, 8]
-    # one hull each and no pairwise meet
+    # one hull each and no pairwise meet; the measures build at most one
     assert all((r[f]["hulls"], r[f]["meets"]) == (1, 0) and
                r[f]["seconds"] >= 0
                for r in rows for f in ("build_tree", "value", "dirichlet"))
+    assert all(r[f]["hulls"] <= 1 and r[f]["meets"] == 0 and
+               r[f]["seconds"] >= 0
+               for r in rows for f in ("measure", "retract_measure"))
 
 
 def test_import_cost_prints_one_json_line_per_command():
